@@ -7,8 +7,7 @@ any output directory can be reproduced from its manifest alone.  Outputs are
 deterministic: identical config and seed give byte-identical files.
 
 Exit codes: 0 success, 2 usage/config error, 3 physics-domain error,
-4 numerical failure.  ``EITLAB_THREADS`` caps worker parallelism for the
-embarrassingly parallel loops (spectrum grid points, scan rows).
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -53,25 +50,6 @@ def _fmt(x: float) -> str:
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _pool_size() -> int:
-    env = os.environ.get("EITLAB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"EITLAB_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    workers = _pool_size()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def preset_names() -> list[str]:
@@ -142,32 +120,22 @@ def cmd_spectrum(args) -> int:
     cfg, _pulse, _prop = _load_run_config(config_path)
     out = _out_dir(args)
 
-    gamma = cfg.gamma_char if cfg.gamma_char > 0 else max(cfg.rate_scale, 1.0)
-    grid_min = args.grid_min if args.grid_min is not None else -5.0 * gamma
-    grid_max = args.grid_max if args.grid_max is not None else 5.0 * gamma
-    points = args.grid_points
-    if points < 3:
-        raise ConfigError(f"--grid-points must be >= 3, got {points}")
-    if not grid_max > grid_min:
-        raise ConfigError(f"empty grid [{grid_min}, {grid_max}]")
-
-    dps = np.linspace(grid_min, grid_max, points)
-    solutions = _parallel_map(lambda dp: coherence_point(cfg, float(dp)), dps)
-
-    lines = ["delta_p,re_rho_ba,im_rho_ba,re_rho_ca,im_rho_ca,"
-             "re_rho_da,im_rho_da,re_rho_ea,im_rho_ea"]
-    for dp, sol in zip(dps, solutions):
-        if sol is None:
-            row = [math.nan] * 8
-        else:
-            row = []
-            for z in sol.as_array():
-                row.extend((z.real, z.imag))
-        lines.append(",".join([_fmt(float(dp))] + [_fmt(v) for v in row]))
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        spectrum = absorption_spectrum(cfg, args.grid_min, args.grid_max, args.grid_points)
+    except ValueError as exc:
+        raise ConfigError(f"bad spectrum grid: {exc}") from exc
+    points = spectrum.delta_p.size
+    # viewed as float, each complex column becomes its (re, im) pair
+    table = np.column_stack([spectrum.delta_p, spectrum.coherences.view(float)])
+    # one %.17g pass over all cells keeps every value round-trip exact
+    text = (("%.17g," * 8 + "%.17g\n") * points) % tuple(table.ravel().tolist())
+    header = ("delta_p,re_rho_ba,im_rho_ba,re_rho_ca,im_rho_ca,"
+              "re_rho_da,im_rho_da,re_rho_ea,im_rho_ea\n")
+    (out / "spectrum.csv").write_text(header + text, encoding="utf-8")
 
     entries = _manifest_base(args, config_path)
-    entries["grid"] = {"min": grid_min, "max": grid_max, "points": points}
+    entries["grid"] = {"min": float(spectrum.delta_p[0]), "max": float(spectrum.delta_p[-1]),
+                       "points": points}
     _write_manifest(out, entries, ["spectrum.csv"])
     print(f"wrote {out / 'spectrum.csv'} ({points} points)")
     return 0
@@ -487,7 +455,7 @@ def cmd_scan(args) -> int:
     else:
         _apply_field(cfg, args.sweep, args.sweep_start)
 
-    rows = _parallel_map(lambda v: _scan_row(cfg, args.sweep, float(v)), values)
+    rows = [_scan_row(cfg, args.sweep, float(v)) for v in values]
     (out / "scan.csv").write_text("\n".join([_SCAN_HEADER] + rows) + "\n", encoding="utf-8")
 
     entries = _manifest_base(args, config_path)

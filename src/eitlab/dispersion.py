@@ -8,6 +8,10 @@ the phase shift (real part) and absorption (imaginary part, chi = 2 Im),
 the first derivative the inverse group velocity, and half the second
 derivative the group-velocity dispersion.
 
+s1 and q come from the response layer's single builder,
+``response._response_scalars``, evaluated on drift terms that are
+polynomials in omega; the singular floor is the response layer's too.
+
 The Taylor coefficients are computed by exact differentiation of the
 polynomial ratio and are cross-checked against Richardson finite
 differences of kappa itself; a closed-form Gaussian propagator and an FFT
@@ -20,12 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as npoly
 
 from .errors import GridTooNarrow, SingularDenominator
 from .numerics import ComplexGrid, fft, ifft
 from .params import FieldConfig
-from .response import SINGULAR_RTOL
+from .response import _drift, _response_scalars, _singular_floor
 
 #: Relative field level required at both grid edges before FFT propagation.
 EDGE_LEVEL = 1e-8
@@ -83,35 +88,12 @@ class GaussianPulseSpec:
 def response_polynomials(cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ascending-power coefficient arrays of s1(omega) and q(omega).
 
-    Built exactly from the linear drift terms, so polynomial evaluation
-    reproduces the pointwise response scalars to machine precision.
+    The response builder evaluated on drift terms that are polynomials in
+    omega, so polynomial evaluation reproduces the pointwise response
+    scalars to machine precision.
     """
-    o1, o2, o3, o4 = cfg.control_values
-    t1 = np.array([1j * cfg.gamma_b / 2.0 + cfg.delta_p, 1.0], dtype=complex)
-    t2 = np.array([cfg.delta_p - cfg.delta_2, 1.0], dtype=complex)
-    t3 = np.array([1j * cfg.gamma_e / 2.0 + cfg.delta_p - cfg.delta_2 + cfg.delta_3, 1.0],
-                  dtype=complex)
-    w12 = abs(o1) ** 2 + abs(o2) ** 2
-    omega_sq = abs(o3) ** 2 + abs(o4) ** 2
-    a_om = np.conj(o1) * o3 + np.conj(o2) * o4
-
-    tt = npoly.polysub(npoly.polymul(t2, t3), [omega_sq])
-    s1 = npoly.polymul(t2, tt)
-    q = npoly.polysub(
-        npoly.polymul(npoly.polysub(npoly.polymul(t1, t2), [w12]), tt),
-        [abs(a_om) ** 2],
-    )
-    return s1, q
-
-
-def _tol_for(cfg: FieldConfig, omega) -> np.ndarray:
-    ctx_scale = np.maximum.reduce([
-        np.abs(omega + 1j * cfg.gamma_b / 2.0 + cfg.delta_p),
-        np.abs(omega + cfg.delta_p - cfg.delta_2),
-        np.abs(omega + 1j * cfg.gamma_e / 2.0 + cfg.delta_p - cfg.delta_2 + cfg.delta_3),
-        np.full_like(np.asarray(omega, dtype=float), cfg.control_scale),
-    ])
-    return SINGULAR_RTOL * ctx_scale**4
+    s1, _s2, _s3, _s4, q = _response_scalars(cfg, *_drift(cfg, Polynomial([0.0, 1.0])))
+    return s1.coef, q.coef
 
 
 def kappa_of_omega(cfg: FieldConfig, omega):
@@ -124,9 +106,9 @@ def kappa_of_omega(cfg: FieldConfig, omega):
     s1, q = response_polynomials(cfg)
     s1v = npoly.polyval(w, s1)
     qv = npoly.polyval(w, q)
-    tol = _tol_for(cfg, w)
-    if np.any(np.abs(qv) <= tol):
-        bad = w[np.abs(qv) <= tol] if w.ndim else w
+    singular = np.abs(qv) <= _singular_floor(cfg, *_drift(cfg, w))
+    if np.any(singular):
+        bad = w[singular] if w.ndim else w
         raise SingularDenominator(f"response denominator vanishes near omega = {bad}")
     out = w / cfg.c_light - cfg.eta * s1v / qv
     return out if w.ndim else complex(out)
@@ -147,8 +129,7 @@ def taylor_coefficients(cfg: FieldConfig) -> DispersionExpansion:
 
     s10 = complex(npoly.polyval(0.0, s1))
     q0 = complex(npoly.polyval(0.0, q))
-    tol = float(_tol_for(cfg, 0.0))
-    if abs(q0) <= tol:
+    if abs(q0) <= _singular_floor(cfg, *_drift(cfg, 0.0)):
         raise SingularDenominator(f"response denominator |q(0)| = {abs(q0):.3e} below floor")
     s11 = complex(npoly.polyval(0.0, s1d))
     s12 = complex(npoly.polyval(0.0, s1dd))

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import GridMismatch, GridTooNarrow, SingularDenominator, StepTooLarge, WrongSign
 from .numerics import fft, ifft
 from .params import FieldConfig
-from .response import SINGULAR_RTOL, fourier_context
+from .response import _drift, _response_scalars, _singular_floor
 from .dispersion import taylor_coefficients
 
 #: Minimum number of steps per characteristic length for the split-step walk.
@@ -156,12 +156,12 @@ def kerr_coefficient(cfg: FieldConfig) -> complex:
     can be cross-checked by composing the linear-response solver with
     itself; the closed form below avoids the probe normalization entirely.
     """
-    ctx = fourier_context(cfg, 0.0)
-    tol = SINGULAR_RTOL * max(abs(ctx.t1), abs(ctx.t2), abs(ctx.t3), cfg.control_scale) ** 4
-    if abs(ctx.q) <= tol:
-        raise SingularDenominator(f"|q(0)| = {abs(ctx.q):.3e} below floor")
-    total = abs(ctx.s1) ** 2 + abs(ctx.s2) ** 2 + abs(ctx.s3) ** 2 + abs(ctx.s4) ** 2
-    return -ctx.s1 * total / (ctx.q * abs(ctx.q) ** 2)
+    t1, t2, t3 = _drift(cfg, 0.0)
+    s1, s2, s3, s4, q = _response_scalars(cfg, t1, t2, t3)
+    if abs(q) <= _singular_floor(cfg, t1, t2, t3):
+        raise SingularDenominator(f"|q(0)| = {abs(q):.3e} below floor")
+    total = abs(s1) ** 2 + abs(s2) ** 2 + abs(s3) ** 2 + abs(s4) ** 2
+    return -s1 * total / (q * abs(q) ** 2)
 
 
 def nls_coefficients(cfg: FieldConfig) -> NlsCoefficients:

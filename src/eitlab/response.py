@@ -7,6 +7,12 @@ a closed-form solution: every coherence is a ratio of polynomials in the
 three complex drift terms t1, t2, t3 and the control couplings, over a
 common quartic denominator ``q``.
 
+One function, ``_response_scalars``, builds s1..s4 and q.  It takes the
+drift terms as numbers, ndarrays or ``numpy.polynomial.Polynomial`` objects,
+so single points, whole detuning grids (one array pass, with the beta = 0
+finite limit applied to the masked singular points) and the dispersion
+layer's polynomials in omega all share that one source of truth.
+
 Two independent oracles guard the closed form: a direct partial-pivot solve
 of the 4x4 system, and fixed-step time integration of the underlying
 first-order equations to steady state.
@@ -20,7 +26,7 @@ limit come out as rho_ba = -probe/t1 (absorptive, not amplifying).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,38 +100,107 @@ class Spectrum:
         return self.coherences[:, 0].imag
 
 
-def _parts(cfg: FieldConfig, omega: float):
+def _drift(cfg: FieldConfig, omega, delta_p=None):
+    """Drift terms t1, t2, t3 of the three coherence chains (s^-1).
+
+    ``omega`` and ``delta_p`` enter identically, so either may be a number,
+    an ndarray (a detuning grid) or a ``numpy.polynomial.Polynomial`` in omega.
+    """
+    dp = cfg.delta_p if delta_p is None else delta_p
+    t1 = omega + 1j * cfg.gamma_b / 2.0 + dp
+    t2 = omega + dp - cfg.delta_2
+    t3 = omega + 1j * cfg.gamma_e / 2.0 + dp - cfg.delta_2 + cfg.delta_3
+    return t1, t2, t3
+
+
+def _loop_terms(cfg: FieldConfig):
     o1, o2, o3, o4 = cfg.control_values
-    t1 = omega + 1j * cfg.gamma_b / 2.0 + cfg.delta_p
-    t2 = omega + cfg.delta_p - cfg.delta_2
-    t3 = omega + 1j * cfg.gamma_e / 2.0 + cfg.delta_p - cfg.delta_2 + cfg.delta_3
     w12 = abs(o1) ** 2 + abs(o2) ** 2
     omega_sq = abs(o3) ** 2 + abs(o4) ** 2
     a_om = np.conj(o1) * o3 + np.conj(o2) * o4  # alpha * omega_total
     b_om = np.conj(o1) * np.conj(o4) - np.conj(o2) * np.conj(o3)  # beta * omega_total
-    return (o1, o2, o3, o4), t1, t2, t3, w12, omega_sq, a_om, b_om
+    return w12, omega_sq, a_om, b_om
 
 
-def _q_scale(cfg: FieldConfig, t1: complex, t2: complex, t3: complex) -> float:
-    scale = max(abs(t1), abs(t2), abs(t3), cfg.control_scale)
-    return scale**4
+def _response_scalars(cfg: FieldConfig, t1, t2, t3):
+    """Numerators s1..s4 and the common denominator q: the only place they are built.
 
-
-def fourier_context(cfg: FieldConfig, omega: float) -> FourierContext:
-    """Evaluate the drift terms, the four numerators, and the denominator.
-
-    The denominator carries the full closed-loop interference: it contains
-    |beta*omega_total|^2, whose expansion holds the cos(phi) cross term of
-    the four control amplitudes.
+    The drift terms may be numbers, arrays or polynomials in omega; the
+    result has the same kind.  The denominator carries the full closed-loop
+    interference: it contains |beta*omega_total|^2, whose expansion holds
+    the cos(phi) cross term of the four control amplitudes.
     """
-    (o1, o2, _o3, _o4), t1, t2, t3, w12, omega_sq, a_om, b_om = _parts(cfg, omega)
-    o3, o4 = cfg.omega3.value, cfg.omega4.value
+    o1, o2, o3, o4 = cfg.control_values
+    w12, omega_sq, a_om, b_om = _loop_terms(cfg)
     tt = t2 * t3 - omega_sq
     s1 = t2 * tt
     s2 = np.conj(o1) * t2 * t3 - o4 * b_om
     s3 = np.conj(o2) * t2 * t3 + o3 * b_om
     s4 = -t2 * a_om
     q = (t1 * t2 - w12) * tt - abs(a_om) ** 2
+    return s1, s2, s3, s4, q
+
+
+def _singular_floor(cfg: FieldConfig, t1, t2, t3, degree: int = 4):
+    """Magnitude at or below which a denominator of ``degree`` counts as zero."""
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)),
+                       np.maximum(np.abs(t3), cfg.control_scale))
+    return SINGULAR_RTOL * scale**degree
+
+
+def _ratios(cfg: FieldConfig, numerators, den, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Probe-scaled rows numerators / den, shape (n, 4), and the singular mask.
+
+    Rows where |den| is at or below ``floor`` are NaN.
+    """
+    singular = np.abs(den) <= floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = cfg.omega_p.value * np.stack(numerators, axis=-1) / den[..., None]
+    block[singular] = complex(np.nan, np.nan)
+    return block, singular
+
+
+def _closed_form(cfg: FieldConfig, t1, t2, t3) -> tuple[np.ndarray, np.ndarray]:
+    """Coherence rows over arrays of drift terms; NaN where q is below its floor."""
+    s1, s2, s3, s4, q = _response_scalars(cfg, t1, t2, t3)
+    return _ratios(cfg, [-s1, s2, s3, s4], q, _singular_floor(cfg, t1, t2, t3))
+
+
+def _reduced_form(cfg: FieldConfig, t1, t2, t3) -> tuple[np.ndarray, np.ndarray]:
+    """Finite beta = 0 limit over arrays of drift terms.
+
+    With beta = 0 the drift term t2 divides numerators and denominator; rows
+    where the reduced cubic denominator g is below its floor are NaN, and so
+    is every row when beta != 0 (the zero of q is then genuine).
+    """
+    o1, o2, _o3, _o4 = cfg.control_values
+    w12, omega_sq, a_om, b_om = _loop_terms(cfg)
+    g = t1 * t2 * t3 - t1 * omega_sq - w12 * t3
+    floor = _singular_floor(cfg, t1, t2, t3, degree=3)
+    if abs(b_om) > CLASSIFICATION_RTOL * max(cfg.control_scale, 1.0) ** 2:
+        floor = np.inf
+    numerators = [omega_sq - t2 * t3, np.conj(o1) * t3, np.conj(o2) * t3,
+                  np.full_like(t3, -a_om)]
+    return _ratios(cfg, numerators, g, floor)
+
+
+def _coherence_grid(cfg: FieldConfig, delta_p: np.ndarray) -> np.ndarray:
+    """Coherences (n, 4) at omega = 0 over an array of probe detunings.
+
+    Points below the singular floor take the beta = 0 finite limit where it
+    exists and stay NaN where no finite value does.
+    """
+    t1, t2, t3 = _drift(cfg, 0.0, delta_p)
+    block, singular = _closed_form(cfg, t1, t2, t3)
+    if singular.any():
+        block[singular] = _reduced_form(cfg, t1[singular], t2[singular], t3[singular])[0]
+    return block
+
+
+def fourier_context(cfg: FieldConfig, omega: float) -> FourierContext:
+    """Evaluate the drift terms, the four numerators, and the denominator."""
+    t1, t2, t3 = _drift(cfg, omega)
+    s1, s2, s3, s4, q = _response_scalars(cfg, t1, t2, t3)
     return FourierContext(omega=omega, t1=t1, t2=t2, t3=t3,
                           s1=s1, s2=s2, s3=s3, s4=s4, q=q)
 
@@ -137,19 +212,10 @@ def coherences_fourier(cfg: FieldConfig, omega: float) -> CoherenceSolution:
     common denominator is below the relative floor (the caller decides
     whether a finite limit exists there).
     """
-    ctx = fourier_context(cfg, omega)
-    tol = SINGULAR_RTOL * _q_scale(cfg, ctx.t1, ctx.t2, ctx.t3)
-    if abs(ctx.q) <= tol:
-        raise SingularDenominator(
-            f"|q| = {abs(ctx.q):.3e} at omega = {omega:.3e} is below the floor {tol:.3e}"
-        )
-    lam = cfg.omega_p.value
-    return CoherenceSolution(
-        rho_ba=-lam * ctx.s1 / ctx.q,
-        rho_ca=lam * ctx.s2 / ctx.q,
-        rho_da=lam * ctx.s3 / ctx.q,
-        rho_ea=lam * ctx.s4 / ctx.q,
-    )
+    block, singular = _closed_form(cfg, *_drift(cfg, np.array([float(omega)])))
+    if singular[0]:
+        raise SingularDenominator(f"|q| at omega = {omega:.3e} is below the singular floor")
+    return CoherenceSolution(*block[0].tolist())
 
 
 def coherences_beta0_limit(cfg: FieldConfig, omega: float) -> CoherenceSolution:
@@ -159,26 +225,17 @@ def coherences_beta0_limit(cfg: FieldConfig, omega: float) -> CoherenceSolution:
     divides both numerators and denominator, so the response stays finite
     even at the two-photon resonance where the raw formulas hit 0/0.
     """
-    (o1, o2, _o3, _o4), t1, t2, t3, w12, omega_sq, a_om, b_om = _parts(cfg, omega)
-    if abs(b_om) > CLASSIFICATION_RTOL * max(cfg.control_scale, 1.0) ** 2:
-        raise SingularDenominator("reduced form needs beta ~ 0; denominator zero is genuine")
-    g = t1 * t2 * t3 - t1 * omega_sq - w12 * t3
-    tol = SINGULAR_RTOL * max(abs(t1), abs(t2), abs(t3), cfg.control_scale) ** 3
-    if abs(g) <= tol:
-        raise SingularDenominator(f"reduced denominator |g| = {abs(g):.3e} below floor")
-    lam = cfg.omega_p.value
-    return CoherenceSolution(
-        rho_ba=-lam * (t2 * t3 - omega_sq) / g,
-        rho_ca=lam * np.conj(o1) * t3 / g,
-        rho_da=lam * np.conj(o2) * t3 / g,
-        rho_ea=-lam * a_om / g,
-    )
+    block, singular = _reduced_form(cfg, *_drift(cfg, np.array([float(omega)])))
+    if singular[0]:
+        raise SingularDenominator(
+            f"no finite limit at omega = {omega:.3e}: beta != 0 or |g| below the floor")
+    return CoherenceSolution(*block[0].tolist())
 
 
 def solve_direct(cfg: FieldConfig, omega: float) -> CoherenceSolution:
     """Oracle: solve the 4x4 sideband-domain system by partial-pivot elimination."""
     o1, o2, o3, o4 = cfg.control_values
-    _, t1, t2, t3, *_ = _parts(cfg, omega)
+    t1, t2, t3 = _drift(cfg, omega)
     matrix = np.array([
         [t1, o1, o2, 0.0],
         [np.conj(o1), t2, 0.0, np.conj(o3)],
@@ -206,7 +263,7 @@ def steady_state_interference(cfg: FieldConfig) -> complex:
     denominator is what distinguishes the full loop from the N-type chain.
     """
     _require_resonance(cfg)
-    _, _t1, _t2, _t3, w12, omega_sq, _a_om, b_om = _parts(cfg, 0.0)
+    w12, omega_sq, _a_om, b_om = _loop_terms(cfg)
     dp = cfg.delta_p
     de = 1j * dp * (-cfg.gamma_e / 2.0 + 1j * dp)
     db = 1j * dp * (-cfg.gamma_b / 2.0 + 1j * dp)
@@ -230,7 +287,7 @@ def steady_state_no_interference(cfg: FieldConfig) -> complex:
     eps = CLASSIFICATION_RTOL * cfg.control_scale
     if abs(couplings.beta) > eps:
         raise PreconditionViolated(f"|beta| = {abs(couplings.beta):.3g} is not ~ 0")
-    _, _t1, _t2, _t3, w12, omega_sq, _a_om, _b_om = _parts(cfg, 0.0)
+    w12, omega_sq, _a_om, _b_om = _loop_terms(cfg)
     dp = cfg.delta_p
     ge = -cfg.gamma_e / 2.0 + 1j * dp
     num = cfg.omega_p.value * (omega_sq + 1j * dp * ge)
@@ -326,14 +383,8 @@ def coherence_point(cfg: FieldConfig, delta_p: float) -> CoherenceSolution | Non
 
     Returns None when no finite value exists (genuinely singular point).
     """
-    local = replace(cfg, delta_p=delta_p)
-    try:
-        return coherences_fourier(local, 0.0)
-    except SingularDenominator:
-        try:
-            return coherences_beta0_limit(local, 0.0)
-        except SingularDenominator:
-            return None
+    row = _coherence_grid(cfg, np.array([float(delta_p)]))[0]
+    return None if np.isnan(row).any() else CoherenceSolution(*row.tolist())
 
 
 def absorption_spectrum(
@@ -345,9 +396,10 @@ def absorption_spectrum(
     """Sample the coherences over a probe-detuning grid.
 
     Default grid spans +/- 5 characteristic decay rates with 2001 points.
-    Each grid point is independent (pure function of the config), so callers
-    may evaluate points concurrently; this implementation is a simple loop.
-    Singular points degrade to the finite limit or NaN, never an exception.
+    The whole grid is evaluated at once, as arrays of drift terms; a point
+    gives the same value as ``coherence_point`` there.  Singular points
+    degrade to the finite limit or NaN, never an exception.  Raises
+    ValueError for fewer than 3 points or an empty range.
     """
     gamma = cfg.gamma_char if cfg.gamma_char > 0 else max(cfg.rate_scale, 1.0)
     if grid_min is None:
@@ -360,12 +412,7 @@ def absorption_spectrum(
         raise ValueError(f"empty grid [{grid_min}, {grid_max}]")
 
     dps = np.linspace(grid_min, grid_max, points)
-    block = np.full((points, 4), np.nan, dtype=complex)
-    for i, dp in enumerate(dps):
-        sol = coherence_point(cfg, float(dp))
-        if sol is not None:
-            block[i] = sol.as_array()
-    return Spectrum(delta_p=dps, coherences=block)
+    return Spectrum(delta_p=dps, coherences=_coherence_grid(cfg, dps))
 
 
 def count_peaks(spectrum: Spectrum) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -57,6 +58,44 @@ class TestSpectrumCommand:
         data = read_csv(out / "spectrum.csv")
         assert data["delta_p"].size == 11
         assert data["delta_p"][0] == -1.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid-points", "2"],
+        ["--grid-min", "1", "--grid-max", "1"],
+    ])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, flags):
+        assert main(["spectrum", "--config", "fig4a", "--out", str(tmp_path / "o")] + flags) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_csv_round_trips_to_the_library_spectrum(self, tmp_path):
+        # fig4b puts the beta = 0 fallback point at delta_p = 0 on this grid
+        preset = resources.files("eitlab").joinpath("presets", "fig4b.json")
+        out = tmp_path / "rt"
+        assert main(["spectrum", "--config", str(preset), "--out", str(out),
+                     "--grid-min", "-3", "--grid-max", "3", "--grid-points", "301"]) == 0
+        lines = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+        table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        expected = el.absorption_spectrum(el.load_config(str(preset)), -3.0, 3.0, 301)
+        assert np.isfinite(expected.coherences[150]).all()
+        assert np.array_equal(table[:, 0], expected.delta_p)
+        assert np.array_equal(table[:, 1::2], expected.coherences.real, equal_nan=True)
+        assert np.array_equal(table[:, 2::2], expected.coherences.imag, equal_nan=True)
+
+    def test_points_without_a_finite_value_are_nan_rows(self, tmp_path):
+        # undamped regime A: q has a real zero at delta_p = root and beta != 0
+        cfg = {"controls": [0.9, 0.7, 0.4, 0.8], "probe": 0.01,
+               "detunings": {"p": 0.0, "two": 0.0, "three": 0.0},
+               "decays": {"b": 0.0, "e": 0.0}, "eta": 1.0}
+        w12, w34, a2 = 0.9**2 + 0.7**2, 0.4**2 + 0.8**2, (0.9 * 0.4 + 0.7 * 0.8) ** 2
+        root = float(np.sqrt((w12 + w34 - np.sqrt((w12 - w34) ** 2 + 4.0 * a2)) / 2.0))
+        path = tmp_path / "undamped.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "nan"
+        assert main(["spectrum", "--config", str(path), "--out", str(out), "--grid-min",
+                     repr(-root), "--grid-max", repr(root), "--grid-points", "3"]) == 0
+        rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+        assert rows[0][1:] == ["nan"] * 8 and rows[2][1:] == ["nan"] * 8
+        assert "nan" not in rows[1]
 
     def test_domain_error_exits_3(self, tmp_path):
         cfg = {
@@ -211,13 +250,16 @@ class TestDeterminism:
         ma.pop("output_dir"), mb.pop("output_dir")
         assert ma == mb
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EITLAB_THREADS", "1")
-        out = tmp_path / "serial"
-        assert main(["spectrum", "--config", "fig4a", "--out", str(out),
-                     "--grid-points", "101"]) == 0
-        monkeypatch.setenv("EITLAB_THREADS", "4")
-        out2 = tmp_path / "parallel"
-        assert main(["spectrum", "--config", "fig4a", "--out", str(out2),
-                     "--grid-points", "101"]) == 0
-        assert (out / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+    def test_repeat_spectrum_and_scan_runs_are_byte_identical(self, tmp_path):
+        runs = {
+            "spectrum": ["spectrum", "--config", "fig4b", "--grid-points", "101"],
+            "scan": ["scan", "--config", "fig4b", "--sweep", "phi", "--sweep-start", "0",
+                     "--sweep-stop", str(np.pi), "--sweep-points", "5"],
+        }
+        for name, argv in runs.items():
+            texts = []
+            for i in range(2):
+                out = tmp_path / f"{name}{i}"
+                assert main(argv + ["--out", str(out)]) == 0
+                texts.append((out / f"{name}.csv").read_bytes())
+            assert texts[0] == texts[1], name

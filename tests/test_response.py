@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eitlab as el
-from eitlab.response import coherences_beta0_limit
-from conftest import random_nonsingular_config
+from eitlab.response import bloch_generator, coherences_beta0_limit
+from conftest import random_config, random_nonsingular_config
+
+#: Largest condition number at which the 4x4 oracle is trusted to 1e-10.
+ORACLE_MAX_COND = 1e-10 / np.finfo(float).eps
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -232,3 +237,50 @@ class TestSpectrum:
         # blow up there and the trace stays finite
         spec = el.absorption_spectrum(fig4b, grid_min=-0.01, grid_max=0.01, points=5)
         assert np.all(np.isfinite(spec.im_rho_ba))
+
+
+class TestArrayKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), situation=st.sampled_from("ABC"),
+           detuned=st.booleans(), below=st.integers(1, 40), above=st.integers(1, 40),
+           exponent=st.integers(1, 5))
+    def test_grid_matches_points_and_oracles(self, seed, situation, detuned, below, above,
+                                             exponent):
+        # spacing 2^-exponent and integer end points put delta_p = 0 exactly on
+        # the grid; in regime B without detunings q vanishes there
+        cfg = random_config(np.random.default_rng(seed), situation=situation, detuned=detuned)
+        step = 2.0**-exponent
+        spec = el.absorption_spectrum(cfg, -below * step, above * step, below + above + 1)
+        assert spec.delta_p[below] == 0.0
+        for dp, row in zip(spec.delta_p, spec.coherences):
+            local = cfg.with_delta_p(float(dp))
+            point = el.coherence_point(cfg, float(dp))
+            if point is None:
+                assert np.isnan(row).all()
+                continue
+            assert rel_diff(row, point.as_array()) <= 1e-13
+            if np.linalg.cond(bloch_generator(local)[0]) <= ORACLE_MAX_COND:
+                assert rel_diff(row, el.solve_direct(local, 0.0).as_array()) < 1e-10
+            try:
+                el.coherences_fourier(local, 0.0)
+            except el.SingularDenominator:
+                assert rel_diff(row, coherences_beta0_limit(local, 0.0).as_array()) <= 1e-13
+                # the 4x4 system is singular here; the limit must join its neighbours
+                nearby = el.solve_direct(cfg.with_delta_p(float(dp) + 1e-7), 0.0)
+                assert rel_diff(row, nearby.as_array()) < 1e-5
+
+    def test_no_finite_value_stays_nan(self):
+        # undamped, resonant regime A: q = (x - w12)(x - w34) - |alpha*omega|^2 with
+        # x = delta_p^2 has real roots, and beta != 0 leaves no finite limit there
+        amps = (0.9, 0.7, 0.4, 0.8)
+        cfg = el.FieldConfig.in_gamma_units(
+            1.0, controls=list(amps), probe=0.01, gamma_b=0.0, gamma_e=0.0)
+        w12, w34 = amps[0] ** 2 + amps[1] ** 2, amps[2] ** 2 + amps[3] ** 2
+        a2 = (amps[0] * amps[2] + amps[1] * amps[3]) ** 2
+        root = np.sqrt((w12 + w34 - np.sqrt((w12 - w34) ** 2 + 4.0 * a2)) / 2.0)
+        spec = el.absorption_spectrum(cfg, -root, root, 3)
+        assert np.isnan(spec.coherences[[0, 2]].view(float)).all()
+        assert np.isfinite(spec.coherences[1]).all()
+        assert el.coherence_point(cfg, root) is None
+        with pytest.raises(el.SingularDenominator):
+            coherences_beta0_limit(cfg.with_delta_p(root), 0.0)
