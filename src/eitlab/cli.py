@@ -48,6 +48,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: Rows per %-formatting pass in ``_csv_rows``.  Each pass holds one Python
+#: float per cell.  One pass over a 2^14-row snapshot let peak RSS creep up
+#: by about 2.5 MB over 20 propagate runs in one process; block passes keep
+#: it flat at no measurable cost in speed.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _csv_rows(*columns: np.ndarray) -> str:
+    """CSV rows of a column table, one line per row, each ending in a newline.
+
+    Each argument is one column or a 2-D block of columns.  Cells are
+    formatted with %.17g, a block of rows per pass, which keeps every value
+    round-trip exact and formats as ``_fmt`` does.
+    """
+    table = np.column_stack(columns)
+    line = "%.17g," * (table.shape[1] - 1) + "%.17g\n"
+    blocks = (table[i:i + _CSV_BLOCK_ROWS] for i in range(0, len(table), _CSV_BLOCK_ROWS))
+    return "".join((line * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+
+
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -125,13 +145,11 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad spectrum grid: {exc}") from exc
     points = spectrum.delta_p.size
-    # viewed as float, each complex column becomes its (re, im) pair
-    table = np.column_stack([spectrum.delta_p, spectrum.coherences.view(float)])
-    # one %.17g pass over all cells keeps every value round-trip exact
-    text = (("%.17g," * 8 + "%.17g\n") * points) % tuple(table.ravel().tolist())
     header = ("delta_p,re_rho_ba,im_rho_ba,re_rho_ca,im_rho_ca,"
               "re_rho_da,im_rho_da,re_rho_ea,im_rho_ea\n")
-    (out / "spectrum.csv").write_text(header + text, encoding="utf-8")
+    # viewed as float, each complex column becomes its (re, im) pair
+    rows = _csv_rows(spectrum.delta_p, spectrum.coherences.view(float))
+    (out / "spectrum.csv").write_text(header + rows, encoding="utf-8")
 
     entries = _manifest_base(args, config_path)
     entries["grid"] = {"min": float(spectrum.delta_p[0]), "max": float(spectrum.delta_p[-1]),
@@ -253,13 +271,32 @@ def _snapshot_name(index: int) -> str:
     return f"snapshot_{index:03d}.csv"
 
 
-def _write_snapshot(path: Path, header: str, t: np.ndarray, field: np.ndarray) -> None:
-    lines = [header]
-    for ti, zi in zip(t, field):
-        lines.append(",".join(_fmt(v) for v in (ti, zi.real, zi.imag, abs(zi)))
-                     if header.startswith("t,")
-                     else ",".join(_fmt(v) for v in (ti, abs(zi), zi.real, zi.imag)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _modulus(field: np.ndarray) -> np.ndarray:
+    # np.hypot matches the scalar abs() of each complex sample bit for bit;
+    # np.abs on a complex array differs from it in the last ulp on about a
+    # third of the samples.
+    return np.hypot(field.real, field.imag)
+
+
+def _write_propagation(out: Path, header: str, frames) -> list[str]:
+    """Write one snapshot per checkpoint and the waterfall that stacks them.
+
+    ``frames`` yields (zeta, rows) per checkpoint, with ``rows`` from
+    ``_csv_rows`` under the snapshot ``header``.  A waterfall row is the
+    snapshot row prefixed with its zeta, so the cells are formatted once.
+    """
+    outputs = []
+    waterfall = ["zeta," + header + "\n"]
+    for i, (z, rows) in enumerate(frames, start=1):
+        name = _snapshot_name(i)
+        (out / name).write_text(header + "\n" + rows, encoding="utf-8")
+        outputs.append(name)
+        prefix = "%.17g," % z
+        # every newline but the last starts the next row
+        waterfall += [prefix, rows.replace("\n", "\n" + prefix, rows.count("\n") - 1)]
+    (out / "waterfall.csv").write_text("".join(waterfall), encoding="utf-8")
+    outputs.append("waterfall.csv")
+    return outputs
 
 
 def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Path) -> list[str]:
@@ -271,18 +308,13 @@ def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Pat
     spec = GaussianPulseSpec(amplitude=amplitude, tau0=tau0)
     grid0 = spec.sample(points=points, window=window)
 
-    outputs = []
-    waterfall = ["zeta,t,re,im,abs"]
-    for i, z in enumerate(checkpoints, start=1):
-        propagated = spectral_propagate(cfg, grid0, z, kappa="full")
-        name = _snapshot_name(i)
-        _write_snapshot(out / name, "t,re,im,abs", propagated.times(), propagated.values)
-        outputs.append(name)
-        for ti, zi in zip(propagated.times(), propagated.values):
-            waterfall.append(",".join(_fmt(v) for v in (z, ti, zi.real, zi.imag, abs(zi))))
-    (out / "waterfall.csv").write_text("\n".join(waterfall) + "\n", encoding="utf-8")
-    outputs.append("waterfall.csv")
-    return outputs
+    def frames():
+        for z in checkpoints:
+            propagated = spectral_propagate(cfg, grid0, z, kappa="full")
+            field = propagated.values
+            yield z, _csv_rows(propagated.times(), field.real, field.imag, _modulus(field))
+
+    return _write_propagation(out, "t,re,im,abs", frames())
 
 
 def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
@@ -308,22 +340,17 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
     l_nl = 1.0 / (abs(coeffs.theta_r) * soliton.spec.amplitude**2) if coeffs.theta_r else math.inf
     dz = float(propagation.get("dz", min(min(l_disp, l_nl) / 200.0, length / 8.0)))
 
-    outputs = []
-    waterfall = ["zeta,tau_ret,abs,re,im"]
-    previous = 0.0
-    for i, z in enumerate(checkpoints, start=1):
-        span = z - previous
-        steps = max(1, int(math.ceil(span / dz)))
-        envelope = split_step(coeffs, envelope, span / steps, steps, mode=mode)
-        previous = z
-        name = _snapshot_name(i)
-        _write_snapshot(out / name, "tau_ret,abs,re,im", envelope.times(), envelope.samples)
-        outputs.append(name)
-        for ti, zi in zip(envelope.times(), envelope.samples):
-            waterfall.append(",".join(_fmt(v) for v in (z, ti, abs(zi), zi.real, zi.imag)))
-    (out / "waterfall.csv").write_text("\n".join(waterfall) + "\n", encoding="utf-8")
-    outputs.append("waterfall.csv")
-    return outputs
+    def frames(envelope):
+        previous = 0.0
+        for z in checkpoints:
+            span = z - previous
+            steps = max(1, int(math.ceil(span / dz)))
+            envelope = split_step(coeffs, envelope, span / steps, steps, mode=mode)
+            previous = z
+            field = envelope.samples
+            yield z, _csv_rows(envelope.times(), _modulus(field), field.real, field.imag)
+
+    return _write_propagation(out, "tau_ret,abs,re,im", frames(envelope))
 
 
 def cmd_propagate(args) -> int:

@@ -290,22 +290,33 @@ def _characteristic_lengths(samples: np.ndarray, dt: float,
     return l_disp, l_nl
 
 
-def _kerr_substep(u: np.ndarray, theta: complex, h: float) -> np.ndarray:
-    """Exact solution of u' = -i theta |u|^2 u over step h (theta constant).
+def _kerr_substep(u: np.ndarray, theta: complex, h: float, work: tuple) -> None:
+    """Exact solution of u' = -i theta |u|^2 u over step h (theta constant), in place.
 
     For complex theta the intensity obeys a separable equation with the
     closed-form solution below; for real theta this reduces to the familiar
-    pure phase rotation.
+    pure phase rotation.  ``u`` is overwritten with the result.  ``work``
+    holds two float buffers and one complex buffer of u's length, reused by
+    every call, so a substep allocates no array of the grid's size.
     """
-    intensity = np.abs(u) ** 2
+    intensity, phase, rotation = work
+    np.multiply(u.real, u.real, out=intensity)
+    np.multiply(u.imag, u.imag, out=phase)
+    intensity += phase
     if theta.imag == 0.0:
-        return u * np.exp(-1j * theta.real * intensity * h)
-    denom = 1.0 - 2.0 * theta.imag * intensity * h
-    if np.any(denom <= 0.0):
-        raise StepTooLarge("nonlinear gain substep diverges; reduce dz")
-    scale = 1.0 / np.sqrt(denom)
-    phase = (theta.real / (2.0 * theta.imag)) * np.log(denom)
-    return u * scale * np.exp(1j * phase)
+        np.multiply(intensity, -theta.real * h, out=phase)
+    else:
+        denom = intensity
+        denom *= -2.0 * theta.imag * h
+        denom += 1.0
+        if denom.min() <= 0.0:
+            raise StepTooLarge("nonlinear gain substep diverges; reduce dz")
+        np.log(denom, out=phase)
+        phase *= theta.real / (2.0 * theta.imag)
+        u /= np.sqrt(denom, out=denom)
+    np.cos(phase, out=rotation.real)
+    np.sin(phase, out=rotation.imag)
+    u *= rotation
 
 
 def split_step(coeffs: NlsCoefficients, envelope: Envelope, dz: float,
@@ -316,7 +327,18 @@ def split_step(coeffs: NlsCoefficients, envelope: Envelope, dz: float,
     dispersion step in spectral space, and another half nonlinear substep.
     ``mode`` "ideal" keeps only the real parts of kappa2 and theta and drops
     the attenuation factor; "full" uses the complex coefficients and
-    evaluates exp(-chi*zeta) at each step midpoint (second-order accurate).
+    evaluates w_k = exp(-chi*(zeta + (k+1/2)*dz)) at each step midpoint
+    (second-order accurate).
+
+    The trailing half substep of step k and the leading one of step k+1 run
+    as one substep of length (w_k + w_{k+1})*dz/2, so a step costs one FFT
+    pair and one Kerr substep.  This is exact, not an approximation: theta*w
+    with w real is the flow of theta over the rescaled length w*h, and that
+    flow is autonomous, so two consecutive substeps compose by adding their
+    lengths.  The walk opens with a half substep of length w_0*dz/2 and
+    closes with w_n = 0, i.e. a half substep, so a run split at a checkpoint
+    composes as the unsplit run does.  The fused substep diverges (raising
+    StepTooLarge) exactly when one of the two it replaces would.
     """
     if mode == "ideal":
         kappa2 = complex(coeffs.kappa2_r)
@@ -345,12 +367,16 @@ def split_step(coeffs: NlsCoefficients, envelope: Envelope, dz: float,
     dispersion_factor = np.exp(1j * kappa2 * omega**2 * dz)
 
     zeta = envelope.zeta
+    weights = [math.exp(-chi * (zeta + (k + 0.5) * dz)) if chi != 0.0 else 1.0
+               for k in range(n_steps)] + [0.0]
+    work = (np.empty(u.size), np.empty(u.size), np.empty(u.size, dtype=complex))
+    if n_steps:
+        _kerr_substep(u, theta, weights[0] * dz / 2.0, work)
     for k in range(n_steps):
-        attenuation = math.exp(-chi * (zeta + (k + 0.5) * dz)) if chi != 0.0 else 1.0
-        theta_eff = theta * attenuation
-        u = _kerr_substep(u, theta_eff, dz / 2.0)
-        u = ifft(fft(u) * dispersion_factor)
-        u = _kerr_substep(u, theta_eff, dz / 2.0)
+        fft(u, out=u)
+        u *= dispersion_factor
+        ifft(u, out=u)
+        _kerr_substep(u, theta, (weights[k] + weights[k + 1]) * dz / 2.0, work)
     return Envelope(samples=u, dt_grid=envelope.dt_grid, zeta=zeta + n_steps * dz)
 
 

@@ -6,7 +6,10 @@ eigendecomposition oracle, and a prominence-based peak finder.  All kernels
 are stateless; callers own every buffer, so concurrent use is safe.
 
 FFT normalization: unnormalized forward transform, 1/N inverse (the numpy
-convention).  All call sites assume it.
+convention).  All call sites assume it.  ``fft`` and ``ifft`` take an
+optional complex ``out=`` of the input's shape, passed through to
+``np.fft`` (numpy >= 2.0); it may be the input itself, which transforms in
+place.
 """
 
 from __future__ import annotations
@@ -53,18 +56,18 @@ def _require_power_of_two(n: int) -> None:
         raise BadLength(f"spectral kernels need a power-of-two length, got {n}")
 
 
-def fft(values: np.ndarray) -> np.ndarray:
+def fft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward FFT (unnormalized) of a power-of-two complex array."""
     values = np.asarray(values)
     _require_power_of_two(values.size)
-    return np.fft.fft(values)
+    return np.fft.fft(values, out=out)
 
 
-def ifft(values: np.ndarray) -> np.ndarray:
+def ifft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse FFT (1/N normalization) of a power-of-two complex array."""
     values = np.asarray(values)
     _require_power_of_two(values.size)
-    return np.fft.ifft(values)
+    return np.fft.ifft(values, out=out)
 
 
 def solve4(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

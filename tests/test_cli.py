@@ -187,6 +187,55 @@ class TestPropagateCommand:
                      "--checkpoints", "1.0,0.5", "--out", str(tmp_path / "x")]) == 2
 
 
+def small_soliton_run(tmp_path, mode: str, checkpoints: str):
+    """Run propagate on cs_soliton at 1024 points with dz = 0.125 cm."""
+    data = json.loads(resources.files("eitlab").joinpath("presets", "cs_soliton.json")
+                      .read_text(encoding="utf-8"))
+    data["propagation"].update(grid_points=1024, dz=0.125)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / mode
+    assert main(["propagate", "--config", str(path), "--mode", mode,
+                 "--checkpoints", checkpoints, "--out", str(out)]) == 0
+    return path, data, out
+
+
+class TestPropagateWriters:
+    @pytest.mark.parametrize("mode", ["ideal", "full"])
+    def test_snapshot_round_trips_to_split_step(self, tmp_path, mode):
+        path, data, out = small_soliton_run(tmp_path, mode, "0.5")
+        lines = (out / "snapshot_001.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "tau_ret,abs,re,im"
+        table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+
+        coeffs = el.nls_coefficients(el.load_config(path))
+        tau, points = data["pulse"]["tau"], data["propagation"]["grid_points"]
+        dt = data["propagation"]["window_widths"] * tau / points
+        soliton = el.analytic_soliton(coeffs, tau)
+        start = el.Envelope(samples=soliton.envelope((np.arange(points) - points // 2) * dt),
+                            dt_grid=dt)
+        # the CLI takes ceil(0.5 / dz) = 4 equal steps to the checkpoint
+        expected = el.split_step(coeffs, start, 0.5 / 4, 4, mode=mode)
+        field = expected.samples
+        assert np.array_equal(table[:, 0], expected.times())
+        assert np.array_equal(table[:, 1], np.hypot(field.real, field.imag))
+        assert np.array_equal(table[:, 2], field.real)
+        assert np.array_equal(table[:, 3], field.imag)
+
+    @pytest.mark.parametrize("mode", ["linear", "ideal"])
+    def test_waterfall_rows_are_prefixed_snapshot_rows(self, tmp_path, mode):
+        checkpoints = ["0.1", "0.3"]
+        _path, _data, out = small_soliton_run(tmp_path, mode, ",".join(checkpoints))
+        waterfall = (out / "waterfall.csv").read_text(encoding="utf-8").splitlines()
+        expected = []
+        for i, zeta in enumerate(checkpoints, start=1):
+            snapshot = (out / f"snapshot_{i:03d}.csv").read_text(encoding="utf-8").splitlines()
+            if i == 1:
+                expected.append("zeta," + snapshot[0])
+            expected.extend("%.17g," % float(zeta) + row for row in snapshot[1:])
+        assert waterfall == expected
+
+
 class TestScanCommand:
     def test_phase_sweep_regime_transition(self, tmp_path):
         out = tmp_path / "scan"

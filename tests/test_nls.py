@@ -61,6 +61,40 @@ def pde_residual_dark(soliton: el.Soliton, points: int = 8192, window_widths: fl
     return float(np.max(np.abs(res)) / scale)
 
 
+def strang_oracle(coeffs: el.NlsCoefficients, envelope: el.Envelope, dz: float,
+                  n_steps: int, mode: str) -> np.ndarray:
+    """Textbook unfused Strang loop on np.fft: half Kerr, dispersion, half Kerr.
+
+    Every step evaluates both half substeps at its own midpoint weight
+    exp(-chi*zeta); nothing is fused, buffered or shared with split_step.
+    """
+    if mode == "ideal":
+        kappa2, theta, chi = complex(coeffs.kappa2.real), complex(coeffs.theta.real), 0.0
+    else:
+        kappa2, theta, chi = coeffs.kappa2, coeffs.theta, coeffs.chi
+    omega = 2 * np.pi * np.fft.fftfreq(envelope.samples.size, d=envelope.dt_grid)
+    dispersion = np.exp(1j * kappa2 * omega**2 * dz)
+
+    def kerr(u, th, h):
+        intensity = np.abs(u) ** 2
+        if th.imag == 0:
+            return u * np.exp(-1j * th.real * intensity * h)
+        denom = 1 - 2 * th.imag * intensity * h
+        return u / np.sqrt(denom) * np.exp(1j * th.real / (2 * th.imag) * np.log(denom))
+
+    u = envelope.samples.copy()
+    for k in range(n_steps):
+        th = theta * math.exp(-chi * (envelope.zeta + (k + 0.5) * dz))
+        u = kerr(u, th, dz / 2)
+        u = np.fft.ifft(np.fft.fft(u) * dispersion)
+        u = kerr(u, th, dz / 2)
+    return u
+
+
+def max_rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 @pytest.fixture
 def bright_coeffs():
     return el.NlsCoefficients(kerr=0j, theta=2.0 + 0j, kappa2=1.0 + 0j, chi=0.0)
@@ -69,6 +103,12 @@ def bright_coeffs():
 @pytest.fixture
 def dark_coeffs():
     return el.NlsCoefficients(kerr=0j, theta=2.0 + 0j, kappa2=-1.0 + 0j, chi=0.0)
+
+
+@pytest.fixture
+def absorptive_coeffs():
+    """Complex theta and kappa2 with damping-side signs, plus chi > 0."""
+    return el.NlsCoefficients(kerr=0j, theta=2.0 - 0.05j, kappa2=1.0 + 0.02j, chi=0.25)
 
 
 class TestKerrCoefficient:
@@ -229,6 +269,53 @@ class TestSplitStep:
 
         ratio = error_at(1.0 / 200) / error_at(1.0 / 400)
         assert 3.0 < ratio < 5.0
+
+    def test_ideal_mode_matches_the_unfused_oracle(self, bright_coeffs):
+        # 5% over the soliton amplitude: the pulse breathes, so every
+        # substep changes the field
+        soliton = el.analytic_soliton(bright_coeffs, tau=1.0)
+        env = sample_envelope(soliton, 2048, 80.0 / 2048)
+        env = el.Envelope(samples=env.samples * 1.05, dt_grid=env.dt_grid)
+        out = el.split_step(bright_coeffs, env, 1.0 / 200, 200, mode="ideal")
+        oracle = strang_oracle(bright_coeffs, env, 1.0 / 200, 200, "ideal")
+        assert max_rel_diff(out.samples, oracle) <= 1e-12
+
+    def test_full_mode_matches_the_unfused_oracle(self, absorptive_coeffs):
+        soliton = el.analytic_soliton(absorptive_coeffs, tau=1.0)
+        env = sample_envelope(soliton, 2048, 80.0 / 2048, zeta=0.3)
+        out = el.split_step(absorptive_coeffs, env, 1.0 / 200, 200, mode="full")
+        oracle = strang_oracle(absorptive_coeffs, env, 1.0 / 200, 200, "full")
+        assert out.zeta == pytest.approx(1.3)
+        assert max_rel_diff(out.samples, oracle) <= 1e-12
+
+    def test_run_split_at_a_checkpoint_matches_the_unfused_oracle(self, absorptive_coeffs):
+        soliton = el.analytic_soliton(absorptive_coeffs, tau=1.0)
+        env = sample_envelope(soliton, 2048, 80.0 / 2048)
+        first = el.split_step(absorptive_coeffs, env, 1.0 / 200, 70, mode="full")
+        second = el.split_step(absorptive_coeffs, first, 1.0 / 200, 130, mode="full")
+        oracle = strang_oracle(absorptive_coeffs, env, 1.0 / 200, 200, "full")
+        assert max_rel_diff(second.samples, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["ideal", "full"])
+    def test_zero_steps_return_the_input(self, absorptive_coeffs, mode):
+        soliton = el.analytic_soliton(absorptive_coeffs, tau=1.0)
+        env = sample_envelope(soliton, 2048, 80.0 / 2048, zeta=0.4)
+        out = el.split_step(absorptive_coeffs, env, 1.0 / 200, 0, mode=mode)
+        assert np.array_equal(out.samples, env.samples)
+        assert out.zeta == env.zeta
+
+    def test_gain_divergence_raises(self):
+        # Im theta > 0 amplifies.  dz passes the length limit, and the
+        # opening half substep survives (1 - Im(theta)*A^2*dz = 0.6), but
+        # the intensity it leaves makes 1 - 2 Im(theta) |u|^2 h negative
+        # in the substep joining steps 1 and 2 (h = dz).
+        coeffs = el.NlsCoefficients(kerr=0j, theta=0.001 + 1.0j, kappa2=1.0 + 0j, chi=0.0)
+        n, dt, dz = 2048, 40.0 / 2048, 0.01
+        amplitude = math.sqrt(0.4 / (coeffs.theta.imag * dz))
+        t = (np.arange(n) - n // 2) * dt
+        env = el.Envelope(samples=amplitude * np.exp(-t**2) + 0j, dt_grid=dt)
+        with pytest.raises(el.StepTooLarge, match="gain"):
+            el.split_step(coeffs, env, dz, 2, mode="full")
 
     def test_step_too_large(self, bright_coeffs):
         soliton = el.analytic_soliton(bright_coeffs, tau=1.0)

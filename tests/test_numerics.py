@@ -81,6 +81,22 @@ class TestFft:
         with pytest.raises(BadLength):
             fft(np.zeros(n, dtype=complex))
 
+    @pytest.mark.parametrize("transform", [fft, ifft])
+    def test_out_aliasing_the_input_matches_out_of_place(self, transform):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        expected = transform(x)
+        buffer = x.copy()
+        result = transform(buffer, out=buffer)
+        assert result is buffer
+        assert np.array_equal(buffer, expected)
+
+    @pytest.mark.parametrize("transform", [fft, ifft])
+    def test_out_keeps_the_length_check(self, transform):
+        buffer = np.zeros(12, dtype=complex)
+        with pytest.raises(BadLength):
+            transform(buffer, out=buffer)
+
     @settings(max_examples=50)
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_linearity(self, a, b):
