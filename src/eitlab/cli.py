@@ -6,6 +6,12 @@ version, the config (path and content hash), and all effective options, so
 any output directory can be reproduced from its manifest alone.  Outputs are
 deterministic: identical config and seed give byte-identical files.
 
+``main`` runs the protocol every subcommand shares: it resolves and loads
+the config, creates the output directory, runs the subcommand, writes the
+manifest, and maps each ``EitlabError`` to its ``exit_code``.  A subcommand
+``cmd_x(args, cfg, pulse, propagation, out)`` only writes its own files and
+returns their names with its manifest entries.
+
 Exit codes: 0 success, 2 usage/config error, 3 physics-domain error,
 4 numerical failure.
 """
@@ -24,16 +30,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, EitlabError, NumericalError, UnknownField
-from .params import FieldConfig, RabiField, Situation, config_from_dict, derive_couplings
-from .response import absorption_spectrum, coherence_point, count_peaks
+from .errors import ConfigError, DomainError, EitlabError, UnknownField
+from .params import FieldConfig, RabiField, Situation, derive_couplings, load_run_config
+from .params import config_from_dict  # noqa: F401  (perfbench reads it from this module)
+from .response import DEFAULT_SPECTRUM_POINTS, absorption_spectrum, coherence_point, count_peaks
 from .dispersion import (
     DEFAULT_GRID_POINTS,
+    DEFAULT_WINDOW_WIDTHS,
     GaussianPulseSpec,
     spectral_propagate,
     taylor_coefficients,
 )
 from .nls import (
+    MIN_DARK_WINDOW_WIDTHS,
     Envelope,
     analytic_soliton,
     dark_pair_envelope,
@@ -90,56 +99,19 @@ def _resolve_config(spec: str) -> Path:
     )
 
 
-def _load_run_config(path: Path) -> tuple[FieldConfig, dict, dict]:
-    """Parse a run config: physics keys plus optional pulse/propagation blocks."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    pulse = data.pop("pulse", {})
-    propagation = data.pop("propagation", {})
-    if not isinstance(pulse, dict) or not isinstance(propagation, dict):
-        raise ConfigError("'pulse' and 'propagation' must be JSON objects")
-    return config_from_dict(data), pulse, propagation
-
-
-def _write_manifest(out_dir: Path, entries: dict, outputs: list[str]) -> None:
-    manifest = {"tool": "eitlab", "version": __version__, "outputs": sorted(outputs)}
-    manifest.update(entries)
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
-
-
-def _manifest_base(args, config_path: Path) -> dict:
-    digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
-    return {
-        "subcommand": args.command,
-        "config_path": str(args.config),
-        "config_sha256": digest,
-        "output_dir": str(args.out),
-        "seed": args.seed,
-    }
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_json(out: Path, name: str, payload: dict) -> tuple[list[str], dict]:
+    """Write a subcommand's one JSON report, echo it, and return its run record."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    (out / name).write_text(text, encoding="utf-8")
+    print(text, end="")
+    return [name], {}
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    config_path = _resolve_config(args.config)
-    cfg, _pulse, _prop = _load_run_config(config_path)
-    out = _out_dir(args)
-
+def cmd_spectrum(args, cfg, pulse, propagation, out):
     try:
         spectrum = absorption_spectrum(cfg, args.grid_min, args.grid_max, args.grid_points)
     except ValueError as exc:
@@ -150,24 +122,17 @@ def cmd_spectrum(args) -> int:
     # viewed as float, each complex column becomes its (re, im) pair
     rows = _csv_rows(spectrum.delta_p, spectrum.coherences.view(float))
     (out / "spectrum.csv").write_text(header + rows, encoding="utf-8")
-
-    entries = _manifest_base(args, config_path)
-    entries["grid"] = {"min": float(spectrum.delta_p[0]), "max": float(spectrum.delta_p[-1]),
-                       "points": points}
-    _write_manifest(out, entries, ["spectrum.csv"])
     print(f"wrote {out / 'spectrum.csv'} ({points} points)")
-    return 0
+    grid = {"min": float(spectrum.delta_p[0]), "max": float(spectrum.delta_p[-1]),
+            "points": points}
+    return ["spectrum.csv"], {"grid": grid}
 
 
 # ---------------------------------------------------------------------------
 # eigen
 # ---------------------------------------------------------------------------
 
-def cmd_eigen(args) -> int:
-    config_path = _resolve_config(args.config)
-    cfg, _pulse, _prop = _load_run_config(config_path)
-    out = _out_dir(args)
-
+def cmd_eigen(args, cfg, pulse, propagation, out):
     couplings = derive_couplings(cfg)
     if couplings.situation is Situation.A:
         system = eigensystem_a(cfg)
@@ -189,22 +154,14 @@ def cmd_eigen(args) -> int:
             for j in range(4)
         ],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (out / "eigen.json").write_text(text, encoding="utf-8")
-    _write_manifest(out, _manifest_base(args, config_path), ["eigen.json"])
-    print(text, end="")
-    return 0
+    return _write_json(out, "eigen.json", payload)
 
 
 # ---------------------------------------------------------------------------
 # dispersion / soliton
 # ---------------------------------------------------------------------------
 
-def cmd_dispersion(args) -> int:
-    config_path = _resolve_config(args.config)
-    cfg, _pulse, _prop = _load_run_config(config_path)
-    out = _out_dir(args)
-
+def cmd_dispersion(args, cfg, pulse, propagation, out):
     expansion = taylor_coefficients(cfg)
     payload = {
         "kappa0": _pair(expansion.kappa0),
@@ -213,18 +170,10 @@ def cmd_dispersion(args) -> int:
         "v_g_over_c": expansion.v_g.real / cfg.c_light,
         "chi": expansion.chi,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (out / "dispersion.json").write_text(text, encoding="utf-8")
-    _write_manifest(out, _manifest_base(args, config_path), ["dispersion.json"])
-    print(text, end="")
-    return 0
+    return _write_json(out, "dispersion.json", payload)
 
 
-def cmd_soliton(args) -> int:
-    config_path = _resolve_config(args.config)
-    cfg, pulse, _prop = _load_run_config(config_path)
-    out = _out_dir(args)
-
+def cmd_soliton(args, cfg, pulse, propagation, out):
     coeffs = nls_coefficients(cfg)
     payload = {
         "kerr": _pair(coeffs.kerr),
@@ -238,15 +187,11 @@ def cmd_soliton(args) -> int:
         "soliton_type": coeffs.soliton_type,
     }
     if coeffs.soliton_type is not None:
-        tau = float(pulse.get("tau", 1.0))
+        tau = pulse.get("tau", 1.0)
         soliton = analytic_soliton(coeffs, tau)
         payload["amplitude_width_product"] = soliton.amplitude_width_product
         payload["reference_amplitude_width_product"] = reference_amplitude(coeffs, tau) * tau
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (out / "soliton.json").write_text(text, encoding="utf-8")
-    _write_manifest(out, _manifest_base(args, config_path), ["soliton.json"])
-    print(text, end="")
-    return 0
+    return _write_json(out, "soliton.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +207,7 @@ def _parse_checkpoints(spec: str | None, fallback_length: float) -> list[float]:
         raise ConfigError(f"bad --checkpoints {spec!r}: {exc}") from exc
     if not values:
         return [fallback_length]
-    if any(v <= 0 for v in values) or sorted(values) != values:
+    if not all(0 < v < math.inf for v in values) or sorted(values) != values:
         raise ConfigError("--checkpoints must be positive and increasing")
     return values
 
@@ -300,11 +245,10 @@ def _write_propagation(out: Path, header: str, frames) -> list[str]:
 
 
 def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Path) -> list[str]:
-    gamma = cfg.gamma_char if cfg.gamma_char > 0 else max(cfg.rate_scale, 1.0)
-    tau0 = float(pulse.get("tau0", 100.0 / gamma))
-    amplitude = float(pulse.get("amplitude", cfg.omega_p.amplitude))
-    points = int(propagation.get("grid_points", DEFAULT_GRID_POINTS))
-    window = float(propagation.get("window_widths", 40.0)) * tau0
+    tau0 = pulse.get("tau0", 100.0 / cfg.gamma_scale)
+    amplitude = pulse.get("amplitude", cfg.omega_p.amplitude)
+    points = propagation.get("grid_points", DEFAULT_GRID_POINTS)
+    window = propagation.get("window_widths", DEFAULT_WINDOW_WIDTHS) * tau0
     spec = GaussianPulseSpec(amplitude=amplitude, tau0=tau0)
     grid0 = spec.sample(points=points, window=window)
 
@@ -320,15 +264,14 @@ def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Pat
 def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
                          mode: str, out: Path) -> list[str]:
     coeffs = nls_coefficients(cfg)
-    tau = float(pulse.get("tau", 0.0))
-    if tau <= 0:
+    if "tau" not in pulse:
         raise ConfigError("nonlinear propagation needs a positive 'pulse.tau' in the config")
+    tau = pulse["tau"]
     kind = pulse.get("kind", "auto")
     soliton = analytic_soliton(coeffs, tau, None if kind == "auto" else kind)
 
-    points = int(propagation.get("grid_points", DEFAULT_GRID_POINTS))
-    widths = float(propagation.get("window_widths", 80.0))
-    dt = widths * tau / points
+    points = propagation.get("grid_points", DEFAULT_GRID_POINTS)
+    dt = propagation.get("window_widths", MIN_DARK_WINDOW_WIDTHS) * tau / points
     if soliton.spec.kind == "dark":
         envelope = dark_pair_envelope(soliton, points, dt)
     else:
@@ -338,7 +281,7 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
     length = checkpoints[-1]
     l_disp = tau**2 / abs(coeffs.kappa2_r) if coeffs.kappa2_r else math.inf
     l_nl = 1.0 / (abs(coeffs.theta_r) * soliton.spec.amplitude**2) if coeffs.theta_r else math.inf
-    dz = float(propagation.get("dz", min(min(l_disp, l_nl) / 200.0, length / 8.0)))
+    dz = propagation.get("dz", min(min(l_disp, l_nl) / 200.0, length / 8.0))
 
     def frames(envelope):
         previous = 0.0
@@ -353,24 +296,14 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
     return _write_propagation(out, "tau_ret,abs,re,im", frames(envelope))
 
 
-def cmd_propagate(args) -> int:
-    config_path = _resolve_config(args.config)
-    cfg, pulse, propagation = _load_run_config(config_path)
-    out = _out_dir(args)
-
-    length = float(propagation.get("length", 1.0))
-    checkpoints = _parse_checkpoints(args.checkpoints, length)
+def cmd_propagate(args, cfg, pulse, propagation, out):
+    checkpoints = _parse_checkpoints(args.checkpoints, propagation.get("length", 1.0))
     if args.mode == "linear":
         outputs = _propagate_linear(cfg, pulse, propagation, checkpoints, out)
     else:
         outputs = _propagate_nonlinear(cfg, pulse, propagation, checkpoints, args.mode, out)
-
-    entries = _manifest_base(args, config_path)
-    entries["mode"] = args.mode
-    entries["checkpoints"] = checkpoints
-    _write_manifest(out, entries, outputs)
     print(f"wrote {len(outputs)} files to {out}")
-    return 0
+    return outputs, {"mode": args.mode, "checkpoints": checkpoints}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +318,6 @@ _SCALAR_FIELDS = {
     "decays.e": "gamma_e",
     "eta": "eta",
 }
-_CONTROL_ATTRS = {"omega1", "omega2", "omega3", "omega4"}
 
 
 def _apply_field(cfg: FieldConfig, field: str, value: float) -> FieldConfig:
@@ -401,21 +333,19 @@ def _apply_field(cfg: FieldConfig, field: str, value: float) -> FieldConfig:
         return replace(cfg, omega1=RabiField(cfg.omega1.amplitude, target))
     if field in _SCALAR_FIELDS:
         return replace(cfg, **{_SCALAR_FIELDS[field]: value})
-    for prefix, names in (("controls[", ("omega1", "omega2", "omega3", "omega4")),):
-        if field.startswith(prefix) and "]." in field:
-            idx_str, _, attr = field[len(prefix):].partition("].")
-            if idx_str.isdigit() and int(idx_str) < 4 and attr in ("amplitude", "phase"):
-                name = names[int(idx_str)]
-                old: RabiField = getattr(cfg, name)
-                new = (RabiField(value, old.phase) if attr == "amplitude"
-                       else RabiField(old.amplitude, value))
-                return replace(cfg, **{name: new})
-    if field in ("probe.amplitude", "probe.phase"):
-        old = cfg.omega_p
-        new = (RabiField(value, old.phase) if field.endswith("amplitude")
-               else RabiField(old.amplitude, value))
-        return replace(cfg, omega_p=new)
-    raise UnknownField(f"unknown sweep field {field!r}")
+    head, _, attr = field.rpartition(".")
+    index = head.removeprefix("controls[").removesuffix("]")
+    if head == "probe":
+        name = "omega_p"
+    elif head == f"controls[{index}]" and index.isdecimal() and int(index) < 4:
+        name = f"omega{int(index) + 1}"
+    else:
+        name = None
+    if name is None or attr not in ("amplitude", "phase"):
+        raise UnknownField(f"unknown sweep field {field!r}")
+    old: RabiField = getattr(cfg, name)
+    new = RabiField(value, old.phase) if attr == "amplitude" else RabiField(old.amplitude, value)
+    return replace(cfg, **{name: new})
 
 
 _SCAN_HEADER = ("field,value,situation,im_rho_ba_line_center,peak_count,"
@@ -462,39 +392,19 @@ def _scan_row(cfg: FieldConfig, field: str, value: float) -> str:
     return ",".join(cells)
 
 
-def cmd_scan(args) -> int:
-    config_path = _resolve_config(args.config)
-    cfg, _pulse, _prop = _load_run_config(config_path)
-    out = _out_dir(args)
-
+def cmd_scan(args, cfg, pulse, propagation, out):
     if args.sweep_points < 0:
         raise ConfigError(f"--sweep-points must be >= 0, got {args.sweep_points}")
-    if args.sweep_points == 0:
-        values = []
-    elif args.sweep_points == 1:
-        values = [args.sweep_start]
-    else:
-        values = list(np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points))
-
     # Fail fast on a bad field name before doing any physics.
-    if values:
-        _apply_field(cfg, args.sweep, values[0])
-    else:
-        _apply_field(cfg, args.sweep, args.sweep_start)
+    _apply_field(cfg, args.sweep, args.sweep_start)
 
+    values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
     rows = [_scan_row(cfg, args.sweep, float(v)) for v in values]
     (out / "scan.csv").write_text("\n".join([_SCAN_HEADER] + rows) + "\n", encoding="utf-8")
-
-    entries = _manifest_base(args, config_path)
-    entries["sweep"] = {
-        "field": args.sweep,
-        "start": args.sweep_start,
-        "stop": args.sweep_stop,
-        "points": args.sweep_points,
-    }
-    _write_manifest(out, entries, ["scan.csv"])
     print(f"wrote {out / 'scan.csv'} ({len(rows)} rows)")
-    return 0
+    sweep = {"field": args.sweep, "start": args.sweep_start, "stop": args.sweep_stop,
+             "points": args.sweep_points}
+    return ["scan.csv"], {"sweep": sweep}
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid-min", type=float, default=None, help="lowest probe detuning (s^-1)")
     p.add_argument("--grid-max", type=float, default=None, help="highest probe detuning (s^-1)")
-    p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_SPECTRUM_POINTS)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("eigen", help="eigenvalues/eigenvectors of the coupling block (JSON)")
@@ -555,20 +465,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: stderr prefix of an error message, by exit code
+_ERROR_PREFIX = {2: "config error: ", 4: "numerical failure: "}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"eitlab: config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"eitlab: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"eitlab: numerical failure: {exc}", file=sys.stderr)
-        return 4
+        config_path = _resolve_config(args.config)
+        cfg, pulse, propagation = load_run_config(config_path)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, entries = args.func(args, cfg, pulse, propagation, out)
+    except EitlabError as exc:
+        print(f"eitlab: {_ERROR_PREFIX.get(exc.exit_code, '')}{exc}", file=sys.stderr)
+        return exc.exit_code
+    manifest = {
+        "tool": "eitlab",
+        "version": __version__,
+        "subcommand": args.command,
+        "config_path": str(args.config),
+        "config_sha256": hashlib.sha256(config_path.read_bytes()).hexdigest(),
+        "output_dir": str(args.out),
+        "seed": args.seed,
+        "outputs": sorted(outputs),
+        **entries,
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out / "manifest.json").write_text(text, encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":

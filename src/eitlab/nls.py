@@ -306,14 +306,16 @@ def _kerr_substep(u: np.ndarray, theta: complex, h: float, work: tuple) -> None:
     if theta.imag == 0.0:
         np.multiply(intensity, -theta.real * h, out=phase)
     else:
-        denom = intensity
-        denom *= -2.0 * theta.imag * h
-        denom += 1.0
-        if denom.min() <= 0.0:
+        # the intensity factor is 1 + x, x = -2 Im(theta) |u|^2 h; log1p keeps
+        # the phase accurate where x is small against 1
+        x = intensity
+        x *= -2.0 * theta.imag * h
+        if x.min() <= -1.0:
             raise StepTooLarge("nonlinear gain substep diverges; reduce dz")
-        np.log(denom, out=phase)
+        np.log1p(x, out=phase)
         phase *= theta.real / (2.0 * theta.imag)
-        u /= np.sqrt(denom, out=denom)
+        x += 1.0
+        u /= np.sqrt(x, out=x)
     np.cos(phase, out=rotation.real)
     np.sin(phase, out=rotation.imag)
     u *= rotation

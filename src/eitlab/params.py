@@ -150,6 +150,11 @@ class FieldConfig:
         return max(self.gamma_b, self.gamma_e)
 
     @property
+    def gamma_scale(self) -> float:
+        """``gamma_char``, or the largest rate (at least 1) when nothing decays."""
+        return self.gamma_char if self.gamma_char > 0 else max(self.rate_scale, 1.0)
+
+    @property
     def rate_scale(self) -> float:
         """Largest rate in the problem; sets step sizes and tolerances."""
         rates = [f.amplitude for f in self.controls]
@@ -364,17 +369,33 @@ def config_to_dict(cfg: FieldConfig) -> dict:
     }
 
 
-#: Top-level config-file sections owned by the command-line layer (pulse and
-#: propagation setup); the physics schema ignores them.
-RUN_ONLY_KEYS = ("pulse", "propagation")
+_POSITIVE = (float, lambda x: 0 < x < math.inf, "a finite number > 0")
+
+#: Run-file sections beside the physics schema (pulse and propagation setup
+#: for the command line).  Each known key maps to (convert, accept, rule).
+RUN_SECTIONS = {
+    "pulse": {
+        "tau": _POSITIVE,
+        "tau0": _POSITIVE,
+        "amplitude": (float, math.isfinite, "a finite number"),
+        "kind": (str, ("auto", "bright", "dark").__contains__, "'auto', 'bright' or 'dark'"),
+    },
+    "propagation": {
+        "length": _POSITIVE,
+        "dz": _POSITIVE,
+        "grid_points": (int, lambda n: n >= 2 and n & (n - 1) == 0, "a power of two >= 2"),
+        "window_widths": _POSITIVE,
+    },
+}
 
 
-def load_config(path: str | Path) -> FieldConfig:
-    """Read a JSON config file; raises ConfigError on parse or schema errors.
+def load_run_config(path: str | Path) -> tuple[FieldConfig, dict, dict]:
+    """Read a run file: the physics config plus its ``pulse`` and ``propagation`` blocks.
 
-    Accepts the full run-file schema: the physics keys handled by
-    ``config_from_dict`` plus the command-line-only sections listed in
-    ``RUN_ONLY_KEYS``, which are skipped here.
+    Both blocks are optional JSON objects.  Each key listed in
+    ``RUN_SECTIONS`` is converted and checked; absent keys are left to the
+    caller's defaults.  Raises ConfigError on read, parse, schema or value
+    errors.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -384,7 +405,27 @@ def load_config(path: str | Path) -> FieldConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        for key in RUN_ONLY_KEYS:
-            data.pop(key, None)
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    blocks = [data.pop(section, {}) for section in RUN_SECTIONS]
+    if not all(isinstance(block, dict) for block in blocks):
+        raise ConfigError("'pulse' and 'propagation' must be JSON objects")
+    cfg = config_from_dict(data)
+    for (section, checks), block in zip(RUN_SECTIONS.items(), blocks):
+        for key, (convert, accept, rule) in checks.items():
+            if key not in block:
+                continue
+            try:
+                value = convert(block[key])
+                valid = accept(value)
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                raise ConfigError(f"{section}.{key} must be {rule}, got {block[key]!r}")
+            block[key] = value
+    return cfg, *blocks
+
+
+def load_config(path: str | Path) -> FieldConfig:
+    """The physics config of a run file (see ``load_run_config``)."""
+    return load_run_config(path)[0]

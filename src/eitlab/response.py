@@ -42,6 +42,9 @@ SINGULAR_RTOL = 1e-12
 #: time integration, relative to the coherence magnitude (with a floor of 1).
 BLOCH_SETTLE_TOL = 1e-10
 
+#: Probe-detuning points of a default absorption spectrum.
+DEFAULT_SPECTRUM_POINTS = 2001
+
 
 @dataclass(frozen=True)
 class FourierContext:
@@ -391,17 +394,17 @@ def absorption_spectrum(
     cfg: FieldConfig,
     grid_min: float | None = None,
     grid_max: float | None = None,
-    points: int = 2001,
+    points: int = DEFAULT_SPECTRUM_POINTS,
 ) -> Spectrum:
     """Sample the coherences over a probe-detuning grid.
 
-    Default grid spans +/- 5 characteristic decay rates with 2001 points.
+    Default grid spans +/- 5 ``gamma_scale`` with ``DEFAULT_SPECTRUM_POINTS`` points.
     The whole grid is evaluated at once, as arrays of drift terms; a point
     gives the same value as ``coherence_point`` there.  Singular points
     degrade to the finite limit or NaN, never an exception.  Raises
     ValueError for fewer than 3 points or an empty range.
     """
-    gamma = cfg.gamma_char if cfg.gamma_char > 0 else max(cfg.rate_scale, 1.0)
+    gamma = cfg.gamma_scale
     if grid_min is None:
         grid_min = -5.0 * gamma
     if grid_max is None:

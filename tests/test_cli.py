@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eitlab as el
-from eitlab.cli import main
+from eitlab.cli import _apply_field, main
 
 
 def read_csv(path):
@@ -183,8 +183,31 @@ class TestPropagateCommand:
         assert header == "t,re,im,abs"
 
     def test_bad_checkpoints_exit_2(self, tmp_path):
-        assert main(["propagate", "--config", "cs_soliton", "--mode", "ideal",
-                     "--checkpoints", "1.0,0.5", "--out", str(tmp_path / "x")]) == 2
+        for spec in ("1.0,0.5", "nan", "0.5,inf"):
+            assert main(["propagate", "--config", "cs_soliton", "--mode", "ideal",
+                         "--checkpoints", spec, "--out", str(tmp_path / "x")]) == 2, spec
+
+    @pytest.mark.parametrize("mode, section, key, value", [
+        ("ideal", "pulse", "kind", "sideways"),
+        ("linear", "pulse", "tau0", -1),
+        ("ideal", "pulse", "tau", "x"),
+        ("ideal", "propagation", "grid_points", "abc"),
+        ("ideal", "propagation", "grid_points", 1000),
+        ("ideal", "propagation", "window_widths", -5),
+        ("ideal", "propagation", "dz", 0),
+        ("ideal", "propagation", "dz", -0.1),
+        ("ideal", "propagation", "length", -1),
+    ])
+    def test_bad_run_values_exit_2(self, tmp_path, capsys, mode, section, key, value):
+        data = json.loads(resources.files("eitlab").joinpath("presets", "cs_soliton.json")
+                          .read_text(encoding="utf-8"))
+        data[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["propagate", "--config", str(path), "--mode", mode,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{section}.{key}" in err
 
 
 def small_soliton_run(tmp_path, mode: str, checkpoints: str):
@@ -278,9 +301,22 @@ class TestScanCommand:
         assert lines[1].split(",")[2] == "Degenerate"
 
     def test_unknown_field_exits_2(self, tmp_path):
-        assert main(["scan", "--config", "fig4b", "--sweep", "bogus.path",
-                     "--sweep-start", "0", "--sweep-stop", "1",
-                     "--sweep-points", "2", "--out", str(tmp_path / "x")]) == 2
+        for field in ("bogus.path", "controls[4].amplitude", "controls[0].width",
+                      "omega1.amplitude"):
+            assert main(["scan", "--config", "fig4b", "--sweep", field,
+                         "--sweep-start", "0", "--sweep-stop", "1",
+                         "--sweep-points", "2", "--out", str(tmp_path / "x")]) == 2, field
+
+    def test_field_names_set_their_field(self, fig4a):
+        for i in range(4):
+            cfg = _apply_field(fig4a, f"controls[{i}].amplitude", 0.25)
+            assert cfg.controls[i] == el.RabiField(0.25, fig4a.controls[i].phase)
+            cfg = _apply_field(fig4a, f"controls[{i}].phase", 0.5)
+            assert cfg.controls[i] == el.RabiField(fig4a.controls[i].amplitude, 0.5)
+        assert _apply_field(fig4a, "probe.amplitude", 0.02).omega_p.amplitude == 0.02
+        assert _apply_field(fig4a, "probe.phase", 0.5).omega_p.phase == 0.5
+        assert _apply_field(fig4a, "detunings.two", 0.5).delta_2 == 0.5
+        assert _apply_field(fig4a, "phi", 0.5).phi == pytest.approx(0.5)
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eitlab as el
+from eitlab import nls
 from conftest import cs_config, random_nonsingular_config
 
 
@@ -316,6 +317,19 @@ class TestSplitStep:
         env = el.Envelope(samples=amplitude * np.exp(-t**2) + 0j, dt_grid=dt)
         with pytest.raises(el.StepTooLarge, match="gain"):
             el.split_step(coeffs, env, dz, 2, mode="full")
+
+    def test_kerr_substep_phase_keeps_its_small_log_argument(self):
+        # theta nearly real: 1 - 2 Im(theta) |u|^2 h rounds near 1, so the
+        # phase has to come from log1p of the small term, not log of the sum
+        theta, h = 1.0 + 1e-10j, 0.5
+        intensity = np.linspace(0.01, 2.0, 512)
+        u = np.sqrt(intensity) + 0j
+        work = (np.empty(u.size), np.empty(u.size), np.empty(u.size, dtype=complex))
+        nls._kerr_substep(u, theta, h, work)
+        x = -2.0 * theta.imag * intensity * h
+        expected = theta.real / (2.0 * theta.imag) * np.log1p(x)
+        assert np.max(np.abs(np.angle(u) - expected) / np.abs(expected)) <= 1e-12
+        assert np.allclose(np.abs(u), np.sqrt(intensity / (1.0 + x)), rtol=1e-14, atol=0)
 
     def test_step_too_large(self, bright_coeffs):
         soliton = el.analytic_soliton(bright_coeffs, tau=1.0)

@@ -187,10 +187,20 @@ class TestConfigSchema:
             el.load_config(path)
 
     def test_presets_parse(self):
-        from eitlab.cli import _load_run_config, _resolve_config, preset_names
+        from eitlab.cli import _resolve_config, preset_names
+        from eitlab.params import load_run_config
         for name in preset_names():
-            cfg, _pulse, _prop = _load_run_config(_resolve_config(name))
+            cfg, _pulse, _prop = load_run_config(_resolve_config(name))
             assert isinstance(cfg, el.FieldConfig)
+
+    def test_load_config_rejects_non_object_run_sections(self, tmp_path):
+        from eitlab.cli import _resolve_config
+        data = json.loads(_resolve_config("cs_soliton").read_text(encoding="utf-8"))
+        data["pulse"] = [1e-7]
+        path = tmp_path / "list_pulse.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(el.ConfigError, match="must be JSON objects"):
+            el.load_config(path)
 
     def test_load_config_skips_run_sections(self):
         from eitlab.cli import _resolve_config
