@@ -8,9 +8,9 @@ deterministic: identical config and seed give byte-identical files.
 
 ``main`` runs the protocol every subcommand shares: it resolves and loads
 the config, creates the output directory, runs the subcommand, writes the
-manifest, and maps each ``EitlabError`` to its ``exit_code``.  A subcommand
-``cmd_x(args, cfg, pulse, propagation, out)`` only writes its own files and
-returns their names with its manifest entries.
+manifest last (so it marks a complete run), and maps each ``EitlabError`` to
+its ``exit_code``.  A subcommand ``cmd_x(args, cfg, pulse, propagation, out)``
+only writes its own files and returns their names with its manifest entries.
 
 Exit codes: 0 success, 2 usage/config error, 3 physics-domain error,
 4 numerical failure.
@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -57,24 +58,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-#: Rows per %-formatting pass in ``_csv_rows``.  Each pass holds one Python
-#: float per cell.  One pass over a 2^14-row snapshot let peak RSS creep up
-#: by about 2.5 MB over 20 propagate runs in one process; block passes keep
-#: it flat at no measurable cost in speed.
+#: Rows per block of every CSV the CLI writes.  Each file is formatted and
+#: written one block at a time, so one block bounds the text held in memory
+#: and the Python floats of one %-formatting pass: a few hundred kB, whatever
+#: the grid size or the number of checkpoints.
 _CSV_BLOCK_ROWS = 1024
 
 
-def _csv_rows(*columns: np.ndarray) -> str:
-    """CSV rows of a column table, one line per row, each ending in a newline.
+def _csv_blocks(*columns: np.ndarray):
+    """Yield the CSV rows of a column table, a block of rows at a time.
 
-    Each argument is one column or a 2-D block of columns.  Cells are
-    formatted with %.17g, a block of rows per pass, which keeps every value
-    round-trip exact and formats as ``_fmt`` does.
+    Each argument is one column or a 2-D block of columns.  Every row ends
+    in a newline.  Cells are formatted with %.17g, which keeps every value
+    round-trip exact and formats as ``_fmt`` does.  Each block is stacked
+    from slices of the columns, so the whole table is never built.
     """
-    table = np.column_stack(columns)
-    line = "%.17g," * (table.shape[1] - 1) + "%.17g\n"
-    blocks = (table[i:i + _CSV_BLOCK_ROWS] for i in range(0, len(table), _CSV_BLOCK_ROWS))
-    return "".join((line * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    rows = len(columns[0])
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+        line = "%.17g," * (block.shape[1] - 1) + "%.17g\n"
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _pair(z: complex) -> list[float]:
@@ -119,9 +122,10 @@ def cmd_spectrum(args, cfg, pulse, propagation, out):
     points = spectrum.delta_p.size
     header = ("delta_p,re_rho_ba,im_rho_ba,re_rho_ca,im_rho_ca,"
               "re_rho_da,im_rho_da,re_rho_ea,im_rho_ea\n")
-    # viewed as float, each complex column becomes its (re, im) pair
-    rows = _csv_rows(spectrum.delta_p, spectrum.coherences.view(float))
-    (out / "spectrum.csv").write_text(header + rows, encoding="utf-8")
+    with (out / "spectrum.csv").open("w", encoding="utf-8") as fh:
+        fh.write(header)
+        # viewed as float, each complex column becomes its (re, im) pair
+        fh.writelines(_csv_blocks(spectrum.delta_p, spectrum.coherences.view(float)))
     print(f"wrote {out / 'spectrum.csv'} ({points} points)")
     grid = {"min": float(spectrum.delta_p[0]), "max": float(spectrum.delta_p[-1]),
             "points": points}
@@ -226,20 +230,29 @@ def _modulus(field: np.ndarray) -> np.ndarray:
 def _write_propagation(out: Path, header: str, frames) -> list[str]:
     """Write one snapshot per checkpoint and the waterfall that stacks them.
 
-    ``frames`` yields (zeta, rows) per checkpoint, with ``rows`` from
-    ``_csv_rows`` under the snapshot ``header``.  A waterfall row is the
-    snapshot row prefixed with its zeta, so the cells are formatted once.
+    ``frames`` yields (zeta, columns) per checkpoint, the columns of the
+    snapshot table under ``header``.  Each block of rows goes to the snapshot
+    as soon as it is formatted, and to the waterfall prefixed with its zeta,
+    so the cells are formatted once.  No file is opened before the first
+    frame is computed: a run that fails there leaves ``out`` untouched.
     """
     outputs = []
-    waterfall = ["zeta," + header + "\n"]
-    for i, (z, rows) in enumerate(frames, start=1):
-        name = _snapshot_name(i)
-        (out / name).write_text(header + "\n" + rows, encoding="utf-8")
-        outputs.append(name)
-        prefix = "%.17g," % z
-        # every newline but the last starts the next row
-        waterfall += [prefix, rows.replace("\n", "\n" + prefix, rows.count("\n") - 1)]
-    (out / "waterfall.csv").write_text("".join(waterfall), encoding="utf-8")
+    with ExitStack() as files:
+        for i, (z, columns) in enumerate(frames, start=1):
+            if i == 1:
+                waterfall = files.enter_context(
+                    (out / "waterfall.csv").open("w", encoding="utf-8"))
+                waterfall.write("zeta," + header + "\n")
+            name = _snapshot_name(i)
+            prefix = "%.17g," % z
+            with (out / name).open("w", encoding="utf-8") as snapshot:
+                snapshot.write(header + "\n")
+                for rows in _csv_blocks(*columns):
+                    snapshot.write(rows)
+                    # every newline but the last starts the next row
+                    waterfall.write(prefix + rows.replace("\n", "\n" + prefix,
+                                                          rows.count("\n") - 1))
+            outputs.append(name)
     outputs.append("waterfall.csv")
     return outputs
 
@@ -256,7 +269,7 @@ def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Pat
         for z in checkpoints:
             propagated = spectral_propagate(cfg, grid0, z, kappa="full")
             field = propagated.values
-            yield z, _csv_rows(propagated.times(), field.real, field.imag, _modulus(field))
+            yield z, (propagated.times(), field.real, field.imag, _modulus(field))
 
     return _write_propagation(out, "t,re,im,abs", frames())
 
@@ -291,7 +304,7 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
             envelope = split_step(coeffs, envelope, span / steps, steps, mode=mode)
             previous = z
             field = envelope.samples
-            yield z, _csv_rows(envelope.times(), _modulus(field), field.real, field.imag)
+            yield z, (envelope.times(), _modulus(field), field.real, field.imag)
 
     return _write_propagation(out, "tau_ret,abs,re,im", frames(envelope))
 
@@ -326,34 +339,37 @@ def _apply_field(cfg: FieldConfig, field: str, value: float) -> FieldConfig:
     Supported: 'phi' (adjusts the first control phase so the closed-loop
     phase equals the value), 'controls[i].amplitude' / 'controls[i].phase',
     'probe.amplitude' / 'probe.phase', 'detunings.p/two/three',
-    'decays.b/e', and 'eta'.
+    'decays.b/e', and 'eta'.  Raises UnknownField for any other name and
+    ConfigError for a value outside the field's domain.
     """
-    if field == "phi":
-        target = value + cfg.omega2.phase + cfg.omega3.phase - cfg.omega4.phase
-        return replace(cfg, omega1=RabiField(cfg.omega1.amplitude, target))
-    if field in _SCALAR_FIELDS:
-        return replace(cfg, **{_SCALAR_FIELDS[field]: value})
     head, _, attr = field.rpartition(".")
     index = head.removeprefix("controls[").removesuffix("]")
-    if head == "probe":
-        name = "omega_p"
-    elif head == f"controls[{index}]" and index.isdecimal() and int(index) < 4:
-        name = f"omega{int(index) + 1}"
-    else:
-        name = None
-    if name is None or attr not in ("amplitude", "phase"):
-        raise UnknownField(f"unknown sweep field {field!r}")
-    old: RabiField = getattr(cfg, name)
-    new = RabiField(value, old.phase) if attr == "amplitude" else RabiField(old.amplitude, value)
-    return replace(cfg, **{name: new})
+    try:
+        if field == "phi":
+            target = value + cfg.omega2.phase + cfg.omega3.phase - cfg.omega4.phase
+            return replace(cfg, omega1=RabiField(cfg.omega1.amplitude, target))
+        if field in _SCALAR_FIELDS:
+            return replace(cfg, **{_SCALAR_FIELDS[field]: value})
+        if head == "probe":
+            name = "omega_p"
+        elif head == f"controls[{index}]" and index.isdecimal() and int(index) < 4:
+            name = f"omega{int(index) + 1}"
+        else:
+            name = None
+        if name is None or attr not in ("amplitude", "phase"):
+            raise UnknownField(f"unknown sweep field {field!r}")
+        old: RabiField = getattr(cfg, name)
+        new = RabiField(value, old.phase) if attr == "amplitude" else RabiField(old.amplitude, value)
+        return replace(cfg, **{name: new})
+    except ValueError as exc:
+        raise ConfigError(f"sweep field {field} = {value!r} is out of its domain: {exc}") from exc
 
 
 _SCAN_HEADER = ("field,value,situation,im_rho_ba_line_center,peak_count,"
                 "chi,kappa2_re,kappa2_im,theta_re,theta_im,soliton_type")
 
 
-def _scan_row(cfg: FieldConfig, field: str, value: float) -> str:
-    local = _apply_field(cfg, field, value)
+def _scan_row(local: FieldConfig, field: str, value: float) -> str:
     try:
         situation = derive_couplings(local).situation.value
     except DomainError:
@@ -395,11 +411,13 @@ def _scan_row(cfg: FieldConfig, field: str, value: float) -> str:
 def cmd_scan(args, cfg, pulse, propagation, out):
     if args.sweep_points < 0:
         raise ConfigError(f"--sweep-points must be >= 0, got {args.sweep_points}")
-    # Fail fast on a bad field name before doing any physics.
+    # Build every swept config before any physics: a bad field name or value
+    # exits 2 with no scan.csv.  The start value checks the name of an empty
+    # sweep too.
     _apply_field(cfg, args.sweep, args.sweep_start)
-
-    values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
-    rows = [_scan_row(cfg, args.sweep, float(v)) for v in values]
+    values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points).tolist()
+    configs = [_apply_field(cfg, args.sweep, v) for v in values]
+    rows = [_scan_row(local, args.sweep, v) for local, v in zip(configs, values)]
     (out / "scan.csv").write_text("\n".join([_SCAN_HEADER] + rows) + "\n", encoding="utf-8")
     print(f"wrote {out / 'scan.csv'} ({len(rows)} rows)")
     sweep = {"field": args.sweep, "start": args.sweep_start, "stop": args.sweep_stop,

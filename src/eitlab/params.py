@@ -395,7 +395,7 @@ def load_run_config(path: str | Path) -> tuple[FieldConfig, dict, dict]:
     Both blocks are optional JSON objects.  Each key listed in
     ``RUN_SECTIONS`` is converted and checked; absent keys are left to the
     caller's defaults.  Raises ConfigError on read, parse, schema or value
-    errors.
+    errors, and on any key ``RUN_SECTIONS`` does not list.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -412,6 +412,9 @@ def load_run_config(path: str | Path) -> tuple[FieldConfig, dict, dict]:
         raise ConfigError("'pulse' and 'propagation' must be JSON objects")
     cfg = config_from_dict(data)
     for (section, checks), block in zip(RUN_SECTIONS.items(), blocks):
+        unknown = sorted(set(block) - set(checks))
+        if unknown:
+            raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
         for key, (convert, accept, rule) in checks.items():
             if key not in block:
                 continue

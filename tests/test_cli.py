@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -68,18 +69,21 @@ class TestSpectrumCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_csv_round_trips_to_the_library_spectrum(self, tmp_path):
-        # fig4b puts the beta = 0 fallback point at delta_p = 0 on this grid
+        # fig4b puts the beta = 0 fallback point at delta_p = 0 on these grids;
+        # 2049 points are three CSV blocks, the last one a single row
         preset = resources.files("eitlab").joinpath("presets", "fig4b.json")
-        out = tmp_path / "rt"
-        assert main(["spectrum", "--config", str(preset), "--out", str(out),
-                     "--grid-min", "-3", "--grid-max", "3", "--grid-points", "301"]) == 0
-        lines = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
-        table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
-        expected = el.absorption_spectrum(el.load_config(str(preset)), -3.0, 3.0, 301)
-        assert np.isfinite(expected.coherences[150]).all()
-        assert np.array_equal(table[:, 0], expected.delta_p)
-        assert np.array_equal(table[:, 1::2], expected.coherences.real, equal_nan=True)
-        assert np.array_equal(table[:, 2::2], expected.coherences.imag, equal_nan=True)
+        for points in (301, 2049):
+            out = tmp_path / f"rt{points}"
+            assert main(["spectrum", "--config", str(preset), "--out", str(out), "--grid-min",
+                         "-3", "--grid-max", "3", "--grid-points", str(points)]) == 0
+            lines = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+            table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+            expected = el.absorption_spectrum(el.load_config(str(preset)), -3.0, 3.0, points)
+            assert table.shape == (points, 9)
+            assert np.isfinite(expected.coherences[points // 2]).all()
+            assert np.array_equal(table[:, 0], expected.delta_p)
+            assert np.array_equal(table[:, 1::2], expected.coherences.real, equal_nan=True)
+            assert np.array_equal(table[:, 2::2], expected.coherences.imag, equal_nan=True)
 
     def test_points_without_a_finite_value_are_nan_rows(self, tmp_path):
         # undamped regime A: q has a real zero at delta_p = root and beta != 0
@@ -197,6 +201,8 @@ class TestPropagateCommand:
         ("ideal", "propagation", "dz", 0),
         ("ideal", "propagation", "dz", -0.1),
         ("ideal", "propagation", "length", -1),
+        ("linear", "propagation", "grid_point", 1024),
+        ("ideal", "pulse", "width", 1e-7),
     ])
     def test_bad_run_values_exit_2(self, tmp_path, capsys, mode, section, key, value):
         data = json.loads(resources.files("eitlab").joinpath("presets", "cs_soliton.json")
@@ -210,13 +216,19 @@ class TestPropagateCommand:
         assert "config error" in err and f"{section}.{key}" in err
 
 
-def small_soliton_run(tmp_path, mode: str, checkpoints: str):
-    """Run propagate on cs_soliton at 1024 points with dz = 0.125 cm."""
+def soliton_config(tmp_path, **propagation):
+    """Write cs_soliton with its ``propagation`` block updated; return (path, data)."""
     data = json.loads(resources.files("eitlab").joinpath("presets", "cs_soliton.json")
                       .read_text(encoding="utf-8"))
-    data["propagation"].update(grid_points=1024, dz=0.125)
+    data["propagation"].update(propagation)
     path = tmp_path / "small.json"
     path.write_text(json.dumps(data), encoding="utf-8")
+    return path, data
+
+
+def small_soliton_run(tmp_path, mode: str, checkpoints: str, points: int = 1024):
+    """Run propagate on cs_soliton at ``points`` grid points with dz = 0.125 cm."""
+    path, data = soliton_config(tmp_path, grid_points=points, dz=0.125)
     out = tmp_path / mode
     assert main(["propagate", "--config", str(path), "--mode", mode,
                  "--checkpoints", checkpoints, "--out", str(out)]) == 0
@@ -247,8 +259,9 @@ class TestPropagateWriters:
 
     @pytest.mark.parametrize("mode", ["linear", "ideal"])
     def test_waterfall_rows_are_prefixed_snapshot_rows(self, tmp_path, mode):
+        # 4096 rows are four CSV blocks, so the zeta prefix crosses block ends
         checkpoints = ["0.1", "0.3"]
-        _path, _data, out = small_soliton_run(tmp_path, mode, ",".join(checkpoints))
+        _path, _data, out = small_soliton_run(tmp_path, mode, ",".join(checkpoints), 4096)
         waterfall = (out / "waterfall.csv").read_text(encoding="utf-8").splitlines()
         expected = []
         for i, zeta in enumerate(checkpoints, start=1):
@@ -256,7 +269,48 @@ class TestPropagateWriters:
             if i == 1:
                 expected.append("zeta," + snapshot[0])
             expected.extend("%.17g," % float(zeta) + row for row in snapshot[1:])
+        assert len(expected) == 1 + 2 * 4096
         assert waterfall == expected
+
+
+class TestPropagateStreaming:
+    @pytest.mark.parametrize("mode", ["ideal", "linear"])
+    def test_peak_memory_does_not_grow_with_checkpoints(self, tmp_path, mode):
+        path, _data = soliton_config(tmp_path, grid_points=2048, dz=0.125)
+
+        def traced_peak(checkpoints: str) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["propagate", "--config", str(path), "--mode", mode,
+                             "--checkpoints", checkpoints, "--out", str(tmp_path / "o")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak("1")  # first calls fill import-time and FFT caches
+        one = traced_peak("1")
+        eight = traced_peak(",".join(str(k / 8) for k in range(1, 9)))
+        assert eight <= 1.2 * one, (eight, one)
+
+    def test_failure_before_the_first_checkpoint_leaves_no_file(self, tmp_path):
+        # the StepTooLarge limit of cs_soliton is about 37 cm
+        path, _data = soliton_config(tmp_path, grid_points=1024, dz=100.0)
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(path), "--mode", "ideal",
+                     "--checkpoints", "100", "--out", str(out)]) == 4
+        assert list(out.iterdir()) == []
+
+    def test_failure_after_a_checkpoint_writes_no_manifest(self, tmp_path):
+        path, _data = soliton_config(tmp_path, grid_points=1024, dz=100.0)
+        complete, partial = tmp_path / "complete", tmp_path / "partial"
+        assert main(["propagate", "--config", str(path), "--mode", "ideal",
+                     "--checkpoints", "10", "--out", str(complete)]) == 0
+        assert main(["propagate", "--config", str(path), "--mode", "ideal",
+                     "--checkpoints", "10,100", "--out", str(partial)]) == 4
+        assert not (partial / "manifest.json").exists()
+        assert not (partial / "snapshot_002.csv").exists()
+        assert ((partial / "snapshot_001.csv").read_bytes()
+                == (complete / "snapshot_001.csv").read_bytes())
 
 
 class TestScanCommand:
@@ -303,9 +357,23 @@ class TestScanCommand:
     def test_unknown_field_exits_2(self, tmp_path):
         for field in ("bogus.path", "controls[4].amplitude", "controls[0].width",
                       "omega1.amplitude"):
-            assert main(["scan", "--config", "fig4b", "--sweep", field,
-                         "--sweep-start", "0", "--sweep-stop", "1",
-                         "--sweep-points", "2", "--out", str(tmp_path / "x")]) == 2, field
+            for points in ("2", "0"):
+                assert main(["scan", "--config", "fig4b", "--sweep", field,
+                             "--sweep-start", "0", "--sweep-stop", "1", "--sweep-points",
+                             points, "--out", str(tmp_path / "x")]) == 2, (field, points)
+
+    @pytest.mark.parametrize("field, start, stop", [
+        ("eta", "-1", "1"),
+        ("controls[0].amplitude", "-1", "1"),
+        ("controls[0].amplitude", "0.5", "-0.5"),  # starts valid, ends invalid
+    ])
+    def test_sweep_outside_the_field_domain_exits_2(self, tmp_path, capsys, field, start, stop):
+        out = tmp_path / "x"
+        assert main(["scan", "--config", "fig4b", "--sweep", field, "--sweep-start", start,
+                     "--sweep-stop", stop, "--sweep-points", "3", "--out", str(out)]) == 2
+        assert not (out / "scan.csv").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
 
     def test_field_names_set_their_field(self, fig4a):
         for i in range(4):
