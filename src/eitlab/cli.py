@@ -227,6 +227,11 @@ def _modulus(field: np.ndarray) -> np.ndarray:
     return np.hypot(field.real, field.imag)
 
 
+def _power(field: np.ndarray) -> float:
+    """Squared L2 norm, summed pairwise."""
+    return float(np.sum(field.real**2 + field.imag**2))
+
+
 def _write_propagation(out: Path, header: str, frames) -> list[str]:
     """Write one snapshot per checkpoint and the waterfall that stacks them.
 
@@ -275,7 +280,15 @@ def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Pat
 
 
 def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
-                         mode: str, out: Path) -> list[str]:
+                         mode: str, out: Path) -> tuple[list[str], dict]:
+    """Split-step the matched soliton through the checkpoints and write it.
+
+    Returns the output names and the run's step facts for the manifest: the
+    step bound ``dz``, the Strang steps of each segment (each segment takes
+    equal steps no longer than ``dz``) and, in ideal mode, ``l2_norm_drift``,
+    the relative change of the squared L2 norm from the launch to the last
+    checkpoint.
+    """
     coeffs = nls_coefficients(cfg)
     if "tau" not in pulse:
         raise ConfigError("nonlinear propagation needs a positive 'pulse.tau' in the config")
@@ -295,28 +308,34 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
     l_disp = tau**2 / abs(coeffs.kappa2_r) if coeffs.kappa2_r else math.inf
     l_nl = 1.0 / (abs(coeffs.theta_r) * soliton.spec.amplitude**2) if coeffs.theta_r else math.inf
     dz = propagation.get("dz", min(min(l_disp, l_nl) / 200.0, length / 8.0))
+    spans = [z - previous for previous, z in zip([0.0] + checkpoints[:-1], checkpoints)]
+    steps = [max(1, int(math.ceil(span / dz))) for span in spans]
+    facts = {"dz": dz, "steps": steps}
 
     def frames(envelope):
-        previous = 0.0
-        for z in checkpoints:
-            span = z - previous
-            steps = max(1, int(math.ceil(span / dz)))
-            envelope = split_step(coeffs, envelope, span / steps, steps, mode=mode)
-            previous = z
+        power = _power(envelope.samples)
+        for z, span, n in zip(checkpoints, spans, steps):
+            envelope = split_step(coeffs, envelope, span / n, n, mode=mode)
             field = envelope.samples
+            if mode == "ideal":
+                # the ideal walk is unitary: this is its rounding drift so far
+                facts["l2_norm_drift"] = (_power(field) - power) / power
             yield z, (envelope.times(), _modulus(field), field.real, field.imag)
 
-    return _write_propagation(out, "tau_ret,abs,re,im", frames(envelope))
+    return _write_propagation(out, "tau_ret,abs,re,im", frames(envelope)), facts
 
 
 def cmd_propagate(args, cfg, pulse, propagation, out):
     checkpoints = _parse_checkpoints(args.checkpoints, propagation.get("length", 1.0))
+    entries = {"mode": args.mode, "checkpoints": checkpoints}
     if args.mode == "linear":
         outputs = _propagate_linear(cfg, pulse, propagation, checkpoints, out)
     else:
-        outputs = _propagate_nonlinear(cfg, pulse, propagation, checkpoints, args.mode, out)
+        outputs, facts = _propagate_nonlinear(cfg, pulse, propagation, checkpoints,
+                                              args.mode, out)
+        entries.update(facts)
     print(f"wrote {len(outputs)} files to {out}")
-    return outputs, {"mode": args.mode, "checkpoints": checkpoints}
+    return outputs, entries
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Shared numeric kernels with documented contracts.
 
-Small dense complex linear solves, power-of-two FFT wrappers, fixed-step RK4
-for linear systems, Richardson-extrapolated central differences, a Hermitian
-eigendecomposition oracle, and a prominence-based peak finder.  All kernels
-are stateless; callers own every buffer, so concurrent use is safe.
+Small dense complex linear solves, power-of-two FFT wrappers, a four-step
+Fourier multiplier, fixed-step RK4 for linear systems, Richardson-extrapolated
+central differences, a Hermitian eigendecomposition oracle, and a
+prominence-based peak finder.  All kernels are stateless but the multiplier,
+whose tables are built once and only read afterwards; callers own every
+buffer, so concurrent use is safe.
 
 FFT normalization: unnormalized forward transform, 1/N inverse (the numpy
 convention).  All call sites assume it.  ``fft`` and ``ifft`` take an
@@ -68,6 +70,52 @@ def ifft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     values = np.asarray(values)
     _require_power_of_two(values.size)
     return np.fft.ifft(values, out=out)
+
+
+def fourier_multiplier(factor: np.ndarray):
+    """In-place ``u <- ifft(factor * fft(u))`` for a fixed power-of-two factor.
+
+    Builds its tables once and returns ``apply(u)``, which overwrites a
+    C-contiguous complex128 ``u`` of the factor's length with the result and
+    returns it.  The transform follows Bailey's four-step layout on the
+    ``n1 x n2`` row-major view of ``u``, ``n1 = 2**floor(log2(n)/2)``: FFTs
+    along axis 0, the twiddles ``exp(-2 pi i k1 j2 / n)``, FFTs along axis 1,
+    which leaves spectral bin ``k1 + n1*k2`` at ``[k1, k2]``; there the
+    factor, permuted once to that layout, multiplies it, and the inverse
+    steps run in reverse order.  No transpose and no natural-order spectrum
+    is formed.  The 1/n of the inverse is folded into the permuted factor,
+    which is exact for a power of two.  Agrees with the one-dimensional
+    ``np.fft`` triple to ~1e-15 relative.
+
+    Raises BadLength for a factor whose length is not a power of two, and
+    ValueError for a ``u`` that is not a C-contiguous complex128 array of
+    that length: reshaping anything else could copy, and the result would be
+    lost.
+    """
+    factor = np.asarray(factor, dtype=complex)
+    n = factor.size
+    _require_power_of_two(n)
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n2 = n // n1
+    twiddle = np.exp(-2j * np.pi / n * np.outer(np.arange(n1), np.arange(n2)))
+    untwiddle = twiddle.conj()
+    permuted = np.ascontiguousarray(factor.reshape(n2, n1).T) / n
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        if not (isinstance(u, np.ndarray) and u.dtype == np.complex128
+                and u.size == n and u.flags.c_contiguous):
+            raise ValueError(f"need a C-contiguous complex128 array of {n} samples")
+        v = u.reshape(n1, n2)
+        np.fft.fft(v, axis=0, out=v)
+        v *= twiddle
+        np.fft.fft(v, axis=1, out=v)
+        v *= permuted
+        np.fft.ifft(v, axis=1, norm="forward", out=v)
+        v *= untwiddle
+        np.fft.ifft(v, axis=0, norm="forward", out=v)
+        return u
+
+    return apply
 
 
 def solve4(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

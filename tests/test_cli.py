@@ -171,6 +171,31 @@ class TestPropagateCommand:
         header = (out / "snapshot_001.csv").read_text().splitlines()[0]
         assert header == "tau_ret,abs,re,im"
 
+    def test_manifest_records_the_step_facts(self, tmp_path):
+        # the benchmark's splitstep shape: 2^14 points, 300 steps to 0.75
+        # dispersion lengths, dz with half a step of slack
+        coeffs = el.nls_coefficients(el.load_config(soliton_config(tmp_path)[0]))
+        zeta = 0.75 * 1e-7**2 / abs(coeffs.kappa2_r)
+        path, _data = soliton_config(tmp_path, grid_points=2**14, dz=zeta / 299.5)
+        out = tmp_path / "ideal"
+        assert main(["propagate", "--config", str(path), "--mode", "ideal",
+                     "--checkpoints", repr(zeta), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dz"] == zeta / 299.5
+        assert manifest["steps"] == [300]
+        assert abs(manifest["l2_norm_drift"]) <= 1e-12
+
+    @pytest.mark.parametrize("mode, facts", [
+        ("full", {"dz": 0.125, "steps": [4, 4]}),
+        ("linear", {}),
+    ])
+    def test_manifest_step_facts_by_mode(self, tmp_path, mode, facts):
+        # the norm drift is an invariant only of the unitary ideal walk
+        _path, _data, out = small_soliton_run(tmp_path, mode, "0.5,1.0")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {k: manifest[k] for k in ("dz", "steps") if k in manifest} == facts
+        assert "l2_norm_drift" not in manifest
+
     def test_checkpoints_and_waterfall(self, tmp_path):
         out = tmp_path / "p2"
         assert main(["propagate", "--config", "cs_soliton", "--mode", "ideal",

@@ -234,6 +234,25 @@ class TestSplitStep:
         drift = abs(np.linalg.norm(out.samples) - np.linalg.norm(env.samples))
         assert drift <= steps * 1e-10 * np.linalg.norm(env.samples)
 
+    def test_ideal_mode_is_unitary_at_the_benchmark_shape(self):
+        # the benchmark's splitstep op: cs_soliton at 2^14 points, 300 steps
+        # to 0.75 dispersion lengths.  The ideal walk is a product of unitary
+        # maps, so only rounding moves the norm (~7e-14 here); a rotation
+        # whose modulus were biased by 4 ulp would drift it past 1e-12.
+        coeffs = el.nls_coefficients(cs_config())
+        tau, points = 1e-7, 2**14
+        soliton = el.analytic_soliton(coeffs, tau)
+        env = sample_envelope(soliton, points, 80.0 * tau / points)
+        zeta = 0.75 * tau**2 / abs(coeffs.kappa2_r)
+        out = el.split_step(coeffs, env, zeta / 300, 300, mode="ideal")
+        power = np.sum(np.abs(env.samples) ** 2)
+        assert abs(np.sum(np.abs(out.samples) ** 2) - power) <= 1e-12 * power
+        # the splitting error against the exact soliton, as the unfused
+        # np.fft walk with cos/sin rotations left it
+        reference = sample_envelope(soliton, points, env.dt_grid, zeta=out.zeta)
+        error = np.max(np.abs(out.samples - reference.samples)) / soliton.spec.amplitude
+        assert error == pytest.approx(4.730837294832021e-06, abs=1e-12)
+
     def test_full_mode_norm_decays_with_absorptive_signs(self, bright_coeffs):
         # chi > 0 plus damping-side imaginary parts: Im kappa2 >= 0 kills
         # high frequencies, Im theta <= 0 saturates intensity
@@ -271,19 +290,23 @@ class TestSplitStep:
         ratio = error_at(1.0 / 200) / error_at(1.0 / 400)
         assert 3.0 < ratio < 5.0
 
-    def test_ideal_mode_matches_the_unfused_oracle(self, bright_coeffs):
+    # 2^11 points give split_step's multiplier a 32 x 64 view, 2^14 (the
+    # benchmark's grid) a square 128 x 128 one
+    @pytest.mark.parametrize("points", [2**11, 2**14])
+    def test_ideal_mode_matches_the_unfused_oracle(self, bright_coeffs, points):
         # 5% over the soliton amplitude: the pulse breathes, so every
         # substep changes the field
         soliton = el.analytic_soliton(bright_coeffs, tau=1.0)
-        env = sample_envelope(soliton, 2048, 80.0 / 2048)
+        env = sample_envelope(soliton, points, 80.0 / points)
         env = el.Envelope(samples=env.samples * 1.05, dt_grid=env.dt_grid)
         out = el.split_step(bright_coeffs, env, 1.0 / 200, 200, mode="ideal")
         oracle = strang_oracle(bright_coeffs, env, 1.0 / 200, 200, "ideal")
         assert max_rel_diff(out.samples, oracle) <= 1e-12
 
-    def test_full_mode_matches_the_unfused_oracle(self, absorptive_coeffs):
+    @pytest.mark.parametrize("points", [2**11, 2**14])
+    def test_full_mode_matches_the_unfused_oracle(self, absorptive_coeffs, points):
         soliton = el.analytic_soliton(absorptive_coeffs, tau=1.0)
-        env = sample_envelope(soliton, 2048, 80.0 / 2048, zeta=0.3)
+        env = sample_envelope(soliton, points, 80.0 / points, zeta=0.3)
         out = el.split_step(absorptive_coeffs, env, 1.0 / 200, 200, mode="full")
         oracle = strang_oracle(absorptive_coeffs, env, 1.0 / 200, 200, "full")
         assert out.zeta == pytest.approx(1.3)
@@ -317,6 +340,25 @@ class TestSplitStep:
         env = el.Envelope(samples=amplitude * np.exp(-t**2) + 0j, dt_grid=dt)
         with pytest.raises(el.StepTooLarge, match="gain"):
             el.split_step(coeffs, env, dz, 2, mode="full")
+
+    def test_kerr_substep_rotation_matches_the_complex_exponential(self):
+        # phases from 1e-12 to 1e3, plus the doubles around odd multiples of
+        # pi, where tan(phi/2) reaches ~1e16.  With theta = h = 1 and a real
+        # field, both sides see the same double phi = u*u.
+        poles = np.pi * np.array([1.0, 3.0, 5.0, 101.0, 317.0])
+        near = np.concatenate([np.nextafter(poles, 0.0), poles, np.nextafter(poles, 4e3)])
+        phi = np.concatenate([np.logspace(-12, 3, 2001), near])
+        u = np.sqrt(phi) + 0j
+        phi = u.real * u.real
+        assert np.max(np.abs(np.tan(phi / 2))) > 1e15
+        expected = u * np.exp(-1j * 1.0 * np.abs(u) ** 2 * 1.0)
+        work = (np.empty(u.size), np.empty(u.size), np.empty(u.size, dtype=complex))
+        result = u.copy()
+        nls._kerr_substep(result, 1.0 + 0j, 1.0, work)
+        modulus = np.abs(u)
+        assert np.max(np.abs(result - expected) / modulus) <= 1e-15
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(np.abs(result) - modulus) / modulus) <= 4 * eps
 
     def test_kerr_substep_phase_keeps_its_small_log_argument(self):
         # theta nearly real: 1 - 2 Im(theta) |u|^2 h rounds near 1, so the

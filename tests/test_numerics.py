@@ -10,6 +10,7 @@ from eitlab.numerics import (
     ComplexGrid,
     central_difference,
     fft,
+    fourier_multiplier,
     ifft,
     prominent_peaks,
     richardson_derivative,
@@ -106,6 +107,62 @@ class TestFft:
         lhs = fft(a * x + b * y)
         rhs = a * fft(x) + b * fft(y)
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+class TestFourierMultiplier:
+    @staticmethod
+    def factors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+        omega = 2 * np.pi * np.fft.fftfreq(n, d=80.0 / n)
+        return [
+            # unit modulus, as in ideal mode
+            np.exp(1j * rng.uniform(-np.pi, np.pi, n)),
+            # full mode's complex kappa2 damps high frequencies: |factor| < 1
+            np.exp(1j * (1.0 + 0.02j) * omega**2 / 200),
+            # arbitrary complex values
+            rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        ]
+
+    @pytest.mark.parametrize("exponent", range(1, 17))
+    def test_matches_the_one_dimensional_fft_triple(self, exponent):
+        # odd exponents give an n1 x 2*n1 view, even ones a square view
+        n = 2**exponent
+        rng = np.random.default_rng(exponent)
+        for factor in self.factors(n, rng):
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            expected = np.fft.ifft(factor * np.fft.fft(u))
+            result = fourier_multiplier(factor)(u)
+            assert result is u
+            assert np.max(np.abs(u - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_applies_the_same_tables_every_call(self):
+        rng = np.random.default_rng(5)
+        factor = self.factors(1024, rng)[0]
+        apply = fourier_multiplier(factor)
+        u = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        expected = u.copy()
+        for _ in range(3):
+            apply(u)
+            expected = np.fft.ifft(factor * np.fft.fft(expected))
+        assert np.max(np.abs(u - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 12, 1000])
+    def test_non_power_of_two_rejected(self, n):
+        with pytest.raises(BadLength):
+            fourier_multiplier(np.ones(n, dtype=complex))
+
+    def test_non_contiguous_input_rejected(self):
+        # a reshape of a strided view copies, so the result would be lost
+        apply = fourier_multiplier(np.ones(64, dtype=complex))
+        backing = np.zeros(128, dtype=complex)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply(backing[::2])
+
+    @pytest.mark.parametrize("u", [np.zeros(32, dtype=complex), np.zeros(64),
+                                   np.zeros(64, dtype=np.complex64)])
+    def test_wrong_length_or_dtype_rejected(self, u):
+        apply = fourier_multiplier(np.ones(64, dtype=complex))
+        with pytest.raises(ValueError):
+            apply(u)
 
 
 class TestRk4:
