@@ -398,11 +398,12 @@ def _scan_row(local: FieldConfig, field: str, value: float) -> str:
     im_center = line_center.rho_ba.imag if line_center is not None else math.nan
 
     try:
-        peaks: float = count_peaks(absorption_spectrum(local))
+        peaks = str(count_peaks(absorption_spectrum(local)))
     except (EitlabError, ValueError):
-        peaks = math.nan
+        peaks = "nan"
 
-    chi = k2 = theta = None
+    chi = math.nan
+    k2 = theta = complex(math.nan, math.nan)
     soliton_type = ""
     try:
         coeffs = nls_coefficients(local)
@@ -411,19 +412,8 @@ def _scan_row(local: FieldConfig, field: str, value: float) -> str:
     except EitlabError:
         pass
 
-    cells = [
-        field,
-        _fmt(value),
-        situation,
-        _fmt(im_center),
-        _fmt(peaks) if isinstance(peaks, float) and math.isnan(peaks) else str(int(peaks)),
-        _fmt(chi) if chi is not None else "nan",
-        _fmt(k2.real) if k2 is not None else "nan",
-        _fmt(k2.imag) if k2 is not None else "nan",
-        _fmt(theta.real) if theta is not None else "nan",
-        _fmt(theta.imag) if theta is not None else "nan",
-        soliton_type,
-    ]
+    cells = [field, _fmt(value), situation, _fmt(im_center), peaks,
+             *map(_fmt, [chi, k2.real, k2.imag, theta.real, theta.imag]), soliton_type]
     return ",".join(cells)
 
 

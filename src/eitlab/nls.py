@@ -443,19 +443,16 @@ def measure_dark_dip(envelope: Envelope, soliton: Soliton,
     depth = background - float(minimum)
 
     level = background * math.tanh(1.0)
-    crossings = []
-    for direction in (-1, +1):
-        segment = range(i, aw.size - 1) if direction > 0 else range(i, 0, -1)
-        found = None
-        for j in segment:
-            a, b = (j, j + 1) if direction > 0 else (j, j - 1)
-            ya, yb = aw[a], aw[b]
-            if (ya - level) * (yb - level) <= 0 and ya != yb:
-                frac = (level - ya) / (yb - ya)
-                found = tw[a] + frac * (tw[b] - tw[a])
-                break
-        if found is None:
-            raise GridMismatch("dip does not cross the width-measurement level")
-        crossings.append(found)
-    width = 0.5 * abs(crossings[1] - crossings[0])
+    d = aw - level
+    pairs = np.flatnonzero((d[:-1] * d[1:] <= 0) & (aw[:-1] != aw[1:]))
+    left, right = pairs[pairs < i], pairs[pairs >= i]
+    if not (left.size and right.size):
+        raise GridMismatch("dip does not cross the width-measurement level")
+
+    def crossing(a: int, b: int) -> float:
+        # sample a is the one nearer the minimum
+        frac = (level - aw[a]) / (aw[b] - aw[a])
+        return tw[a] + frac * (tw[b] - tw[a])
+
+    width = 0.5 * abs(crossing(right[0], right[0] + 1) - crossing(left[-1] + 1, left[-1]))
     return depth, width

@@ -8,10 +8,7 @@ whose tables are built once and only read afterwards; callers own every
 buffer, so concurrent use is safe.
 
 FFT normalization: unnormalized forward transform, 1/N inverse (the numpy
-convention).  All call sites assume it.  ``fft`` and ``ifft`` take an
-optional complex ``out=`` of the input's shape, passed through to
-``np.fft`` (numpy >= 2.0); it may be the input itself, which transforms in
-place.
+convention).  All call sites assume it.
 """
 
 from __future__ import annotations
@@ -58,18 +55,18 @@ def _require_power_of_two(n: int) -> None:
         raise BadLength(f"spectral kernels need a power-of-two length, got {n}")
 
 
-def fft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fft(values: np.ndarray) -> np.ndarray:
     """Forward FFT (unnormalized) of a power-of-two complex array."""
     values = np.asarray(values)
     _require_power_of_two(values.size)
-    return np.fft.fft(values, out=out)
+    return np.fft.fft(values)
 
 
-def ifft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ifft(values: np.ndarray) -> np.ndarray:
     """Inverse FFT (1/N normalization) of a power-of-two complex array."""
     values = np.asarray(values)
     _require_power_of_two(values.size)
-    return np.fft.ifft(values, out=out)
+    return np.fft.ifft(values)
 
 
 def fourier_multiplier(factor: np.ndarray):
@@ -245,30 +242,17 @@ def prominent_peaks(values: np.ndarray, min_prominence: float) -> list[int]:
     """Indices of strict local maxima with topographic prominence above a floor.
 
     Prominence of a peak is its height minus the higher of the two valley
-    minima separating it from the nearest higher ground on each side (or
-    from the array edge when no higher ground exists).
+    minima separating it from the nearest higher-or-equal ground on each side
+    (or from the array edge when no higher ground exists).  The values must
+    be finite; bridge NaN points before calling.
     """
     y = np.asarray(values, dtype=float)
-    n = y.size
     peaks: list[int] = []
-    for i in range(1, n - 1):
-        if not (y[i] > y[i - 1] and y[i] > y[i + 1]):
-            continue
-        left_min = y[i]
-        j = i - 1
-        while j >= 0 and y[j] < y[i]:
-            left_min = min(left_min, y[j])
-            j -= 1
-        if j < 0:
-            left_min = float(np.min(y[: i + 1]))
-        right_min = y[i]
-        j = i + 1
-        while j < n and y[j] < y[i]:
-            right_min = min(right_min, y[j])
-            j += 1
-        if j >= n:
-            right_min = float(np.min(y[i:]))
-        prominence = y[i] - max(left_min, right_min)
-        if prominence >= min_prominence:
-            peaks.append(i)
+    for i in np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1:
+        left = np.flatnonzero(y[:i] >= y[i])
+        right = np.flatnonzero(y[i + 1:] >= y[i])
+        start = left[-1] + 1 if left.size else 0
+        stop = i + 1 + right[0] if right.size else y.size
+        if y[i] - max(y[start:i + 1].min(), y[i:stop].min()) >= min_prominence:
+            peaks.append(int(i))
     return peaks

@@ -335,23 +335,20 @@ def config_from_dict(data: dict) -> FieldConfig:
     try:
         detunings = data["detunings"]
         decays = data["decays"]
-        cfg = FieldConfig(
-            omega1=RabiField(fields[0].amplitude * gamma, fields[0].phase),
-            omega2=RabiField(fields[1].amplitude * gamma, fields[1].phase),
-            omega3=RabiField(fields[2].amplitude * gamma, fields[2].phase),
-            omega4=RabiField(fields[3].amplitude * gamma, fields[3].phase),
-            omega_p=RabiField(probe.amplitude * gamma, probe.phase),
-            delta_p=float(detunings["p"]) * gamma,
-            delta_2=float(detunings["two"]) * gamma,
-            delta_3=float(detunings["three"]) * gamma,
-            gamma_b=float(decays["b"]) * gamma,
-            gamma_e=float(decays["e"]) * gamma,
+        return FieldConfig.in_gamma_units(
+            gamma,
+            controls=fields,
+            probe=probe,
+            delta_p=float(detunings["p"]),
+            delta_2=float(detunings["two"]),
+            delta_3=float(detunings["three"]),
+            gamma_b=float(decays["b"]),
+            gamma_e=float(decays["e"]),
             eta=float(data["eta"]),
             c_light=float(data.get("c_light", C_LIGHT)),
         )
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    return cfg
 
 
 def config_to_dict(cfg: FieldConfig) -> dict:

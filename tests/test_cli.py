@@ -353,6 +353,21 @@ class TestScanCommand:
         assert first_absorption > 0.01
         assert abs(last_absorption) < 1e-12
 
+    def test_regime_b_row_has_nan_coefficients(self, tmp_path):
+        # phi = 0 puts fig4b in regime B, where q(0) vanishes and the
+        # envelope coefficients do not exist
+        out = tmp_path / "scan_b"
+        assert main(["scan", "--config", "fig4b", "--sweep", "phi",
+                     "--sweep-start", "0", "--sweep-stop", "1",
+                     "--sweep-points", "2", "--out", str(out)]) == 0
+        header, first = (out / "scan.csv").read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert row["value"] == "0" and row["situation"] == "B"
+        for cell in ("chi", "kappa2_re", "kappa2_im", "theta_re", "theta_im"):
+            assert row[cell] == "nan"
+        assert row["soliton_type"] == ""
+        assert row["peak_count"] != "nan"
+
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "scan0"
         assert main(["scan", "--config", "fig4b", "--sweep", "phi",

@@ -226,6 +226,47 @@ class TestSplitStep:
         ref = el.dark_pair_envelope(soliton, n, dt, zeta=out.zeta)
         assert el.soliton_fidelity(ref, out) > 0.98
 
+    def test_dark_dip_width_spans_the_nearest_level_crossings(self, dark_coeffs):
+        soliton = el.analytic_soliton(dark_coeffs, tau=1.0)
+        n, dt = 4096, 120.0 / 4096
+        clean = el.dark_pair_envelope(soliton, n, dt)
+        rng = np.random.default_rng(21)
+        env = el.Envelope(samples=clean.samples * (1 + 0.01 * rng.standard_normal(n)), dt_grid=dt)
+        _depth, width = el.measure_dark_dip(env, soliton)
+
+        t = env.times()
+        inside = np.abs(t) <= 10.0 * soliton.spec.tau
+        tw, aw = t[inside], np.abs(env.samples[inside])
+        level = 0.5 * (aw[0] + aw[-1]) * math.tanh(1.0)
+        low = int(np.argmin(aw))
+        # first samples at or above the level on each side of the minimum
+        above_left = max(k for k in range(low) if aw[k] >= level)
+        above_right = min(k for k in range(low, aw.size) if aw[k] >= level)
+        crossings = []
+        for a, b in ((above_left, above_left + 1), (above_right, above_right - 1)):
+            time = tw[b] + (level - aw[b]) * (tw[a] - tw[b]) / (aw[a] - aw[b])
+            assert abs(np.interp(time, tw, aw) - level) <= 1e-12 * level
+            crossings.append(time)
+        assert width == pytest.approx(0.5 * (crossings[1] - crossings[0]), rel=1e-12)
+
+    def test_one_sample_dip_crosses_between_its_neighbours(self, dark_coeffs):
+        soliton = el.analytic_soliton(dark_coeffs, tau=1.0)
+        samples = np.ones(256, dtype=complex)
+        samples[128] = 0.0  # tau_ret = 0
+        depth, width = el.measure_dark_dip(el.Envelope(samples=samples, dt_grid=0.1), soliton)
+        assert depth == 1.0
+        assert width == pytest.approx(0.1 * math.tanh(1.0), rel=1e-12)
+
+    def test_dark_dip_without_two_crossings_is_a_grid_mismatch(self, dark_coeffs):
+        soliton = el.analytic_soliton(dark_coeffs, tau=1.0)
+        flat = el.Envelope(samples=np.ones(256) + 0j, dt_grid=0.1)
+        with pytest.raises(el.GridMismatch, match="does not cross"):
+            el.measure_dark_dip(flat, soliton)
+        # |u| rises across the window: the minimum sits at its left edge
+        ramp = el.Envelope(samples=np.linspace(0.0, 1.0, 256) + 0j, dt_grid=0.1)
+        with pytest.raises(el.GridMismatch, match="does not cross"):
+            el.measure_dark_dip(ramp, soliton)
+
     def test_ideal_mode_conserves_power(self, bright_coeffs):
         soliton = el.analytic_soliton(bright_coeffs, tau=1.0)
         env = sample_envelope(soliton, 2048, 80.0 / 2048)
