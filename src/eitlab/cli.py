@@ -2,9 +2,10 @@
 
 Subcommands: spectrum | eigen | dispersion | soliton | propagate | scan.
 Every run writes its results plus a ``manifest.json`` that records the tool
-version, the config (path and content hash), and all effective options, so
-any output directory can be reproduced from its manifest alone.  Outputs are
-deterministic: identical config and seed give byte-identical files.
+version, the config (path and content hash), all effective options and the
+``validate()`` diagnostics, so any output directory can be reproduced from
+its manifest alone.  Outputs depend only on the config and the options: no
+code path draws a random number, and ``--seed`` is only recorded.
 
 ``main`` runs the protocol every subcommand shares: it resolves and loads
 the config, creates the output directory, runs the subcommand, writes the
@@ -24,7 +25,7 @@ import json
 import math
 import sys
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, EitlabError, UnknownField
-from .params import FieldConfig, RabiField, Situation, derive_couplings, load_run_config
+from .params import FieldConfig, RabiField, Situation, derive_couplings, load_run_config, validate
 from .params import config_from_dict  # noqa: F401  (perfbench reads it from this module)
 from .response import DEFAULT_SPECTRUM_POINTS, absorption_spectrum, coherence_point, count_peaks
 from .dispersion import (
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON config, or a bundled preset name")
         p.add_argument("--out", default="eitlab_out", help="output directory")
         p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the manifest for reproducible replays")
+                       help="recorded in the manifest only; no output depends on it")
 
     p = sub.add_parser("spectrum", help="probe absorption/dispersion vs detuning (CSV)")
     common(p)
@@ -516,6 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         "output_dir": str(args.out),
         "seed": args.seed,
         "outputs": sorted(outputs),
+        "diagnostics": [asdict(d) for d in validate(cfg)],
         **entries,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -8,9 +8,9 @@ the phase shift (real part) and absorption (imaginary part, chi = 2 Im),
 the first derivative the inverse group velocity, and half the second
 derivative the group-velocity dispersion.
 
-s1 and q come from the response layer's single builder,
-``response._response_scalars``, evaluated on drift terms that are
-polynomials in omega; the singular floor is the response layer's too.
+``kappa_of_omega`` takes s1, q and the singular mask from the response
+layer's pointwise evaluator, as the spectrum grid and the Kerr coefficient
+do; ``response_polynomials`` only supplies the Taylor layer's coefficients.
 
 The Taylor coefficients are computed by exact differentiation of the
 polynomial ratio and are cross-checked against Richardson finite
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial import polynomial as npoly
 
 from .errors import GridTooNarrow, SingularDenominator
 from .numerics import ComplexGrid, fft, ifft
 from .params import FieldConfig
-from .response import _drift, _response_scalars, _singular_floor
+from .response import _drift, _response_at, _response_scalars
 
 #: Relative field level required at both grid edges before FFT propagation.
 EDGE_LEVEL = 1e-8
@@ -89,8 +88,8 @@ def response_polynomials(cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ascending-power coefficient arrays of s1(omega) and q(omega).
 
     The response builder evaluated on drift terms that are polynomials in
-    omega, so polynomial evaluation reproduces the pointwise response
-    scalars to machine precision.
+    omega.  The Taylor layer reads its derivatives at omega = 0 from these
+    coefficients; values at points come from ``kappa_of_omega`` instead.
     """
     s1, _s2, _s3, _s4, q = _response_scalars(cfg, *_drift(cfg, Polynomial([0.0, 1.0])))
     return s1.coef, q.coef
@@ -100,17 +99,15 @@ def kappa_of_omega(cfg: FieldConfig, omega):
     """Dispersion relation kappa(omega) in cm^-1; accepts scalars or arrays.
 
     This is the single source of truth: the Taylor layer differentiates it
-    and the FFT propagator exponentiates it.
+    and the FFT propagator exponentiates it.  s1 and q come from the response
+    evaluator in factored form, with the spectrum grid's singular floor.
     """
     w = np.asarray(omega, dtype=float)
-    s1, q = response_polynomials(cfg)
-    s1v = npoly.polyval(w, s1)
-    qv = npoly.polyval(w, q)
-    singular = np.abs(qv) <= _singular_floor(cfg, *_drift(cfg, w))
+    _drift_terms, (s1, _s2, _s3, _s4, q), singular = _response_at(cfg, w)
     if np.any(singular):
         bad = w[singular] if w.ndim else w
         raise SingularDenominator(f"response denominator vanishes near omega = {bad}")
-    out = w / cfg.c_light - cfg.eta * s1v / qv
+    out = w / cfg.c_light - cfg.eta * s1 / q
     return out if w.ndim else complex(out)
 
 
@@ -120,12 +117,13 @@ def taylor_coefficients(cfg: FieldConfig) -> DispersionExpansion:
     The derivatives of s1 and q at 0 are read from their coefficients, and
     those of the ratio follow by the quotient rule; they agree
     with Richardson central differences of kappa_of_omega to better than
-    1e-6 relative (enforced by the test suite).
+    1e-6 relative (enforced by the test suite).  The q(0) floor test is the
+    response evaluator's.
     """
     s1, q = response_polynomials(cfg)
     s10, s11, s12 = complex(s1[0]), complex(s1[1]), complex(2.0 * s1[2])
     q0, q1, q2 = complex(q[0]), complex(q[1]), complex(2.0 * q[2])
-    if abs(q0) <= _singular_floor(cfg, *_drift(cfg, 0.0)):
+    if _response_at(cfg, 0.0)[2]:
         raise SingularDenominator(f"response denominator |q(0)| = {abs(q0):.3e} below floor")
 
     eta = cfg.eta

@@ -33,7 +33,7 @@ from .errors import GridMismatch, GridTooNarrow, SingularDenominator, StepTooLar
 from .numerics import fft, fourier_multiplier
 from .numerics import ifft  # noqa: F401  (perfbench's tracer rebinds it in this module)
 from .params import FieldConfig
-from .response import _drift, _response_scalars, _singular_floor
+from .response import _response_at
 from .dispersion import taylor_coefficients
 
 #: Minimum number of steps per characteristic length for the split-step walk.
@@ -157,9 +157,8 @@ def kerr_coefficient(cfg: FieldConfig) -> complex:
     can be cross-checked by composing the linear-response solver with
     itself; the closed form below avoids the probe normalization entirely.
     """
-    t1, t2, t3 = _drift(cfg, 0.0)
-    s1, s2, s3, s4, q = _response_scalars(cfg, t1, t2, t3)
-    if abs(q) <= _singular_floor(cfg, t1, t2, t3):
+    _drift_terms, (s1, s2, s3, s4, q), singular = _response_at(cfg, 0.0)
+    if singular:
         raise SingularDenominator(f"|q(0)| = {abs(q):.3e} below floor")
     total = abs(s1) ** 2 + abs(s2) ** 2 + abs(s3) ** 2 + abs(s4) ** 2
     return -s1 * total / (q * abs(q) ** 2)

@@ -7,11 +7,11 @@ a closed-form solution: every coherence is a ratio of polynomials in the
 three complex drift terms t1, t2, t3 and the control couplings, over a
 common quartic denominator ``q``.
 
-One function, ``_response_scalars``, builds s1..s4 and q.  It takes the
-drift terms as numbers, ndarrays or ``numpy.polynomial.Polynomial`` objects,
-so single points, whole detuning grids (one array pass, with the beta = 0
-finite limit applied to the masked singular points) and the dispersion
-layer's polynomials in omega all share that one source of truth.
+One function, ``_response_scalars``, builds s1..s4 and q from the drift
+terms.  One evaluator, ``_response_at``, is the only pointwise path to them
+and to the singular mask: the detuning grid, the sideband coherences,
+kappa(omega) and the Kerr coefficient all use it.  Only the Taylor layer
+feeds the builder polynomials in omega, to read their coefficients.
 
 Two independent oracles guard the closed form: a direct partial-pivot solve
 of the 4x4 system, and fixed-step time integration of the underlying
@@ -106,8 +106,8 @@ class Spectrum:
 def _drift(cfg: FieldConfig, omega, delta_p=None):
     """Drift terms t1, t2, t3 of the three coherence chains (s^-1).
 
-    ``omega`` and ``delta_p`` enter identically, so either may be a number,
-    an ndarray (a detuning grid) or a ``numpy.polynomial.Polynomial`` in omega.
+    ``omega`` and ``delta_p`` enter identically: numbers or ndarrays (a
+    frequency or detuning grid), or for the Taylor layer a Polynomial in omega.
     """
     dp = cfg.delta_p if delta_p is None else delta_p
     t1 = omega + 1j * cfg.gamma_b / 2.0 + dp
@@ -128,10 +128,10 @@ def _loop_terms(cfg: FieldConfig):
 def _response_scalars(cfg: FieldConfig, t1, t2, t3):
     """Numerators s1..s4 and the common denominator q: the only place they are built.
 
-    The drift terms may be numbers, arrays or polynomials in omega; the
-    result has the same kind.  The denominator carries the full closed-loop
-    interference: it contains |beta*omega_total|^2, whose expansion holds
-    the cos(phi) cross term of the four control amplitudes.
+    The drift terms may be points (through ``_response_at``) or polynomials
+    in omega; the result has the same kind.  The denominator carries the full
+    closed-loop interference: it contains |beta*omega_total|^2, whose
+    expansion holds the cos(phi) cross term of the four control amplitudes.
     """
     o1, o2, o3, o4 = cfg.control_values
     w12, omega_sq, a_om, b_om = _loop_terms(cfg)
@@ -151,22 +151,22 @@ def _singular_floor(cfg: FieldConfig, t1, t2, t3, degree: int = 4):
     return SINGULAR_RTOL * scale**degree
 
 
-def _ratios(cfg: FieldConfig, numerators, den, floor) -> tuple[np.ndarray, np.ndarray]:
-    """Probe-scaled rows numerators / den, shape (n, 4), and the singular mask.
+def _response_at(cfg: FieldConfig, omega, delta_p=None):
+    """Drift terms, (s1, s2, s3, s4, q) and the mask |q| <= floor at points.
 
-    Rows where |den| is at or below ``floor`` are NaN.
+    The one pointwise path through the response; arguments as for ``_drift``.
     """
-    singular = np.abs(den) <= floor
+    drift = _drift(cfg, omega, delta_p)
+    scalars = _response_scalars(cfg, *drift)
+    return drift, scalars, np.abs(scalars[4]) <= _singular_floor(cfg, *drift)
+
+
+def _ratios(cfg: FieldConfig, numerators, den, singular) -> np.ndarray:
+    """Probe-scaled rows numerators / den, shape (n, 4); NaN where ``singular``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         block = cfg.omega_p.value * np.stack(numerators, axis=-1) / den[..., None]
     block[singular] = complex(np.nan, np.nan)
-    return block, singular
-
-
-def _closed_form(cfg: FieldConfig, t1, t2, t3) -> tuple[np.ndarray, np.ndarray]:
-    """Coherence rows over arrays of drift terms; NaN where q is below its floor."""
-    s1, s2, s3, s4, q = _response_scalars(cfg, t1, t2, t3)
-    return _ratios(cfg, [-s1, s2, s3, s4], q, _singular_floor(cfg, t1, t2, t3))
+    return block
 
 
 def _reduced_form(cfg: FieldConfig, t1, t2, t3) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +184,8 @@ def _reduced_form(cfg: FieldConfig, t1, t2, t3) -> tuple[np.ndarray, np.ndarray]
         floor = np.inf
     numerators = [omega_sq - t2 * t3, np.conj(o1) * t3, np.conj(o2) * t3,
                   np.full_like(t3, -a_om)]
-    return _ratios(cfg, numerators, g, floor)
+    singular = np.abs(g) <= floor
+    return _ratios(cfg, numerators, g, singular), singular
 
 
 def _coherence_grid(cfg: FieldConfig, delta_p: np.ndarray) -> np.ndarray:
@@ -193,8 +194,8 @@ def _coherence_grid(cfg: FieldConfig, delta_p: np.ndarray) -> np.ndarray:
     Points below the singular floor take the beta = 0 finite limit where it
     exists and stay NaN where no finite value does.
     """
-    t1, t2, t3 = _drift(cfg, 0.0, delta_p)
-    block, singular = _closed_form(cfg, t1, t2, t3)
+    (t1, t2, t3), (s1, s2, s3, s4, q), singular = _response_at(cfg, 0.0, delta_p)
+    block = _ratios(cfg, [-s1, s2, s3, s4], q, singular)
     if singular.any():
         block[singular] = _reduced_form(cfg, t1[singular], t2[singular], t3[singular])[0]
     return block
@@ -202,8 +203,7 @@ def _coherence_grid(cfg: FieldConfig, delta_p: np.ndarray) -> np.ndarray:
 
 def fourier_context(cfg: FieldConfig, omega: float) -> FourierContext:
     """Evaluate the drift terms, the four numerators, and the denominator."""
-    t1, t2, t3 = _drift(cfg, omega)
-    s1, s2, s3, s4, q = _response_scalars(cfg, t1, t2, t3)
+    (t1, t2, t3), (s1, s2, s3, s4, q), _singular = _response_at(cfg, omega)
     return FourierContext(omega=omega, t1=t1, t2=t2, t3=t3,
                           s1=s1, s2=s2, s3=s3, s4=s4, q=q)
 
@@ -215,10 +215,10 @@ def coherences_fourier(cfg: FieldConfig, omega: float) -> CoherenceSolution:
     common denominator is below the relative floor (the caller decides
     whether a finite limit exists there).
     """
-    block, singular = _closed_form(cfg, *_drift(cfg, np.array([float(omega)])))
+    _drift_terms, (s1, s2, s3, s4, q), singular = _response_at(cfg, np.array([float(omega)]))
     if singular[0]:
         raise SingularDenominator(f"|q| at omega = {omega:.3e} is below the singular floor")
-    return CoherenceSolution(*block[0].tolist())
+    return CoherenceSolution(*_ratios(cfg, [-s1, s2, s3, s4], q, singular)[0].tolist())
 
 
 def coherences_beta0_limit(cfg: FieldConfig, omega: float) -> CoherenceSolution:

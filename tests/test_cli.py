@@ -36,6 +36,23 @@ class TestSpectrumCommand:
         assert manifest["subcommand"] == "spectrum"
         assert manifest["grid"]["points"] == 2001
         assert "spectrum.csv" in manifest["outputs"]
+        assert manifest["diagnostics"] == []
+
+    def test_manifest_records_validate_diagnostics(self, tmp_path):
+        # a probe as strong as the weakest control breaks first-order theory
+        cfg = {"controls": [0.9, 0.7, 0.4, 0.8], "probe": 0.4,
+               "detunings": {"p": 0.0, "two": 0.0, "three": 0.0},
+               "decays": {"b": 1.0, "e": 1.0}, "eta": 1.0}
+        path = tmp_path / "strong_probe.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "d"
+        assert main(["spectrum", "--config", str(path), "--out", str(out),
+                     "--grid-points", "11"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = el.validate(el.load_config(path))
+        assert [d["code"] for d in manifest["diagnostics"]] == ["ProbeNotPerturbative"]
+        assert manifest["diagnostics"] == [{"code": d.code, "message": d.message}
+                                           for d in expected]
 
     def test_fig4c_reproduction(self, tmp_path):
         out = tmp_path / "c"
