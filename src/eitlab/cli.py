@@ -103,9 +103,20 @@ def _resolve_config(spec: str) -> Path:
     )
 
 
+def _json_text(node) -> str:
+    """Standard (RFC 8259) JSON text of ``node``: a non-finite float becomes null."""
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        return [finite(v) for v in x] if isinstance(x, (list, tuple)) else x
+    return json.dumps(finite(node), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(out: Path, name: str, payload: dict) -> tuple[list[str], dict]:
     """Write a subcommand's one JSON report, echo it, and return its run record."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     (out / name).write_text(text, encoding="utf-8")
     print(text, end="")
     return [name], {}
@@ -130,7 +141,8 @@ def cmd_spectrum(args, cfg, pulse, propagation, out):
     print(f"wrote {out / 'spectrum.csv'} ({points} points)")
     grid = {"min": float(spectrum.delta_p[0]), "max": float(spectrum.delta_p[-1]),
             "points": points}
-    return ["spectrum.csv"], {"grid": grid}
+    nan_points = int(np.count_nonzero(~np.isfinite(spectrum.coherences).any(axis=1)))
+    return ["spectrum.csv"], {"grid": grid, "nan_points": nan_points}
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +532,7 @@ def main(argv: list[str] | None = None) -> int:
         "diagnostics": [asdict(d) for d in validate(cfg)],
         **entries,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out / "manifest.json").write_text(text, encoding="utf-8")
+    (out / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     return 0
 
 

@@ -3,10 +3,11 @@
 The probe sideband at frequency ``omega`` accumulates phase exp(i*kappa*z)
 with kappa(omega) = omega/c - eta * s1(omega)/q(omega), where s1 and q are
 the response numerator and denominator (cubic and quartic polynomials in
-omega).  Everything here flows from that single function: kappa(0) carries
-the phase shift (real part) and absorption (imaginary part, chi = 2 Im),
-the first derivative the inverse group velocity, and half the second
-derivative the group-velocity dispersion.
+omega; one degree lower each once t2 cancels at beta = 0).  Everything
+here flows from that single function: kappa(0) carries the phase shift
+(real part) and absorption (imaginary part, chi = 2 Im), the first
+derivative the inverse group velocity, and half the second derivative
+the group-velocity dispersion.
 
 ``kappa_of_omega`` takes s1, q and the singular mask from the response
 layer's pointwise evaluator, as the spectrum grid and the Kerr coefficient

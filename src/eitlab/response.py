@@ -8,10 +8,13 @@ three complex drift terms t1, t2, t3 and the control couplings, over a
 common quartic denominator ``q``.
 
 One function, ``_response_scalars``, builds s1..s4 and q from the drift
-terms.  One evaluator, ``_response_at``, is the only pointwise path to them
-and to the singular mask: the detuning grid, the sideband coherences,
-kappa(omega) and the Kerr coefficient all use it.  Only the Taylor layer
-feeds the builder polynomials in omega, to read their coefficients.
+terms.  It picks the form once per configuration: when beta classifies as
+zero, q = t2*g and t2 divides every numerator, so it returns the
+t2-cancelled numerators and the cubic g, finite at t2 = 0.  One evaluator,
+``_response_at``, is the only pointwise path to them and to the singular
+mask: the detuning grid, the sideband coherences, kappa(omega) and the Kerr
+coefficient all use it.  Only the Taylor layer feeds the builder
+polynomials in omega, to read their coefficients.
 
 Two independent oracles guard the closed form: a direct partial-pivot solve
 of the 4x4 system, and fixed-step time integration of the underlying
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import NonConvergence, PreconditionViolated, SingularDenominator
 from .numerics import prominent_peaks, rk4_linear, solve4
-from .params import CLASSIFICATION_RTOL, FieldConfig, derive_couplings
+from .params import FieldConfig, Situation, derive_couplings
 
 #: Relative floor (times the characteristic denominator scale) below which
 #: the response denominator is treated as singular.
@@ -52,7 +55,9 @@ class FourierContext:
 
     t1, t2, t3 are the drift terms of the three coherence chains (s^-1);
     s1..s4 are the numerators of the four coherences and q the common
-    denominator (powers of s^-1 as dimensional analysis dictates).
+    denominator (powers of s^-1 as dimensional analysis dictates).  When
+    beta vanishes they are the numerators and cubic denominator g with t2
+    cancelled (see ``_response_scalars``).
     """
 
     omega: float
@@ -125,6 +130,13 @@ def _loop_terms(cfg: FieldConfig):
     return w12, omega_sq, a_om, b_om
 
 
+def _beta_vanishes(cfg: FieldConfig) -> bool:
+    """True when beta is zero by ``derive_couplings``' test, or undefined (Omega = 0)."""
+    if cfg.omega_total == 0.0:
+        return True
+    return derive_couplings(cfg).situation in (Situation.B, Situation.DEGENERATE)
+
+
 def _response_scalars(cfg: FieldConfig, t1, t2, t3):
     """Numerators s1..s4 and the common denominator q: the only place they are built.
 
@@ -132,10 +144,14 @@ def _response_scalars(cfg: FieldConfig, t1, t2, t3):
     in omega; the result has the same kind.  The denominator carries the full
     closed-loop interference: it contains |beta*omega_total|^2, whose
     expansion holds the cos(phi) cross term of the four control amplitudes.
+    When beta vanishes, q = t2*g and t2 divides every numerator: the
+    t2-cancelled numerators (s4 a constant) and g come back instead.
     """
     o1, o2, o3, o4 = cfg.control_values
     w12, omega_sq, a_om, b_om = _loop_terms(cfg)
     tt = t2 * t3 - omega_sq
+    if _beta_vanishes(cfg):
+        return tt, np.conj(o1) * t3, np.conj(o2) * t3, -a_om, t1 * tt - w12 * t3
     s1 = t2 * tt
     s2 = np.conj(o1) * t2 * t3 - o4 * b_om
     s3 = np.conj(o2) * t2 * t3 + o3 * b_om
@@ -144,65 +160,38 @@ def _response_scalars(cfg: FieldConfig, t1, t2, t3):
     return s1, s2, s3, s4, q
 
 
-def _singular_floor(cfg: FieldConfig, t1, t2, t3, degree: int = 4):
-    """Magnitude at or below which a denominator of ``degree`` counts as zero."""
-    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)),
-                       np.maximum(np.abs(t3), cfg.control_scale))
-    return SINGULAR_RTOL * scale**degree
-
-
 def _response_at(cfg: FieldConfig, omega, delta_p=None):
     """Drift terms, (s1, s2, s3, s4, q) and the mask |q| <= floor at points.
 
     The one pointwise path through the response; arguments as for ``_drift``.
+    The floor is the largest drift term or control amplitude to the degree
+    of the denominator (3 for the reduced g, 4 for q), times SINGULAR_RTOL.
     """
-    drift = _drift(cfg, omega, delta_p)
+    t1, t2, t3 = drift = _drift(cfg, omega, delta_p)
     scalars = _response_scalars(cfg, *drift)
-    return drift, scalars, np.abs(scalars[4]) <= _singular_floor(cfg, *drift)
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)),
+                       np.maximum(np.abs(t3), cfg.control_scale))
+    degree = 3 if _beta_vanishes(cfg) else 4
+    return drift, scalars, np.abs(scalars[4]) <= SINGULAR_RTOL * scale**degree
 
 
-def _ratios(cfg: FieldConfig, numerators, den, singular) -> np.ndarray:
-    """Probe-scaled rows numerators / den, shape (n, 4); NaN where ``singular``."""
+def _coherence_grid(cfg: FieldConfig, omega, delta_p=None):
+    """Probe-scaled coherences (n, 4) over an array of ``omega`` or ``delta_p``.
+
+    Returns the block and the singular mask; rows whose denominator (q, or g
+    when beta vanishes) is below its floor have no finite value and are NaN.
+    """
+    _drift_terms, (s1, s2, s3, s4, q), singular = _response_at(cfg, omega, delta_p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        block = cfg.omega_p.value * np.stack(numerators, axis=-1) / den[..., None]
+        block = np.stack(np.broadcast_arrays(-s1, s2, s3, s4), axis=-1)
+        block *= cfg.omega_p.value
+        block /= q[..., None]
     block[singular] = complex(np.nan, np.nan)
-    return block
-
-
-def _reduced_form(cfg: FieldConfig, t1, t2, t3) -> tuple[np.ndarray, np.ndarray]:
-    """Finite beta = 0 limit over arrays of drift terms.
-
-    With beta = 0 the drift term t2 divides numerators and denominator; rows
-    where the reduced cubic denominator g is below its floor are NaN, and so
-    is every row when beta != 0 (the zero of q is then genuine).
-    """
-    o1, o2, _o3, _o4 = cfg.control_values
-    w12, omega_sq, a_om, b_om = _loop_terms(cfg)
-    g = t1 * t2 * t3 - t1 * omega_sq - w12 * t3
-    floor = _singular_floor(cfg, t1, t2, t3, degree=3)
-    if abs(b_om) > CLASSIFICATION_RTOL * max(cfg.control_scale, 1.0) ** 2:
-        floor = np.inf
-    numerators = [omega_sq - t2 * t3, np.conj(o1) * t3, np.conj(o2) * t3,
-                  np.full_like(t3, -a_om)]
-    singular = np.abs(g) <= floor
-    return _ratios(cfg, numerators, g, singular), singular
-
-
-def _coherence_grid(cfg: FieldConfig, delta_p: np.ndarray) -> np.ndarray:
-    """Coherences (n, 4) at omega = 0 over an array of probe detunings.
-
-    Points below the singular floor take the beta = 0 finite limit where it
-    exists and stay NaN where no finite value does.
-    """
-    (t1, t2, t3), (s1, s2, s3, s4, q), singular = _response_at(cfg, 0.0, delta_p)
-    block = _ratios(cfg, [-s1, s2, s3, s4], q, singular)
-    if singular.any():
-        block[singular] = _reduced_form(cfg, t1[singular], t2[singular], t3[singular])[0]
-    return block
+    return block, singular
 
 
 def fourier_context(cfg: FieldConfig, omega: float) -> FourierContext:
-    """Evaluate the drift terms, the four numerators, and the denominator."""
+    """Drift terms, numerators and denominator at ``omega``; reduced (g) at beta = 0."""
     (t1, t2, t3), (s1, s2, s3, s4, q), _singular = _response_at(cfg, omega)
     return FourierContext(omega=omega, t1=t1, t2=t2, t3=t3,
                           s1=s1, s2=s2, s3=s3, s4=s4, q=q)
@@ -211,14 +200,15 @@ def fourier_context(cfg: FieldConfig, omega: float) -> FourierContext:
 def coherences_fourier(cfg: FieldConfig, omega: float) -> CoherenceSolution:
     """Closed-form coherences at sideband frequency ``omega``.
 
-    Scaled by the config's probe field.  Raises SingularDenominator when the
-    common denominator is below the relative floor (the caller decides
-    whether a finite limit exists there).
+    Scaled by the config's probe field.  At beta = 0 this is the finite
+    limit of the reduced form, also at the two-photon resonance.  Raises
+    SingularDenominator when the denominator is below its relative floor:
+    a genuine pole, with no finite value.
     """
-    _drift_terms, (s1, s2, s3, s4, q), singular = _response_at(cfg, np.array([float(omega)]))
+    block, singular = _coherence_grid(cfg, np.array([float(omega)]))
     if singular[0]:
         raise SingularDenominator(f"|q| at omega = {omega:.3e} is below the singular floor")
-    return CoherenceSolution(*_ratios(cfg, [-s1, s2, s3, s4], q, singular)[0].tolist())
+    return CoherenceSolution(*block[0].tolist())
 
 
 def coherences_beta0_limit(cfg: FieldConfig, omega: float) -> CoherenceSolution:
@@ -226,13 +216,12 @@ def coherences_beta0_limit(cfg: FieldConfig, omega: float) -> CoherenceSolution:
 
     When the interference coefficient beta vanishes, the drift term t2
     divides both numerators and denominator, so the response stays finite
-    even at the two-photon resonance where the raw formulas hit 0/0.
+    even at the two-photon resonance where the raw formulas hit 0/0; this
+    is ``coherences_fourier`` there.  Other configs raise SingularDenominator.
     """
-    block, singular = _reduced_form(cfg, *_drift(cfg, np.array([float(omega)])))
-    if singular[0]:
-        raise SingularDenominator(
-            f"no finite limit at omega = {omega:.3e}: beta != 0 or |g| below the floor")
-    return CoherenceSolution(*block[0].tolist())
+    if not _beta_vanishes(cfg):
+        raise SingularDenominator(f"no finite limit at omega = {omega:.3e}: beta != 0")
+    return coherences_fourier(cfg, omega)
 
 
 def solve_direct(cfg: FieldConfig, omega: float) -> CoherenceSolution:
@@ -287,8 +276,7 @@ def steady_state_no_interference(cfg: FieldConfig) -> complex:
     """
     _require_resonance(cfg)
     couplings = derive_couplings(cfg)
-    eps = CLASSIFICATION_RTOL * cfg.control_scale
-    if abs(couplings.beta) > eps:
+    if couplings.situation not in (Situation.B, Situation.DEGENERATE):
         raise PreconditionViolated(f"|beta| = {abs(couplings.beta):.3g} is not ~ 0")
     w12, omega_sq, _a_om, _b_om = _loop_terms(cfg)
     dp = cfg.delta_p
@@ -310,8 +298,7 @@ def steady_state_lambda(cfg: FieldConfig) -> complex:
     """
     _require_resonance(cfg)
     couplings = derive_couplings(cfg)
-    eps = CLASSIFICATION_RTOL * cfg.control_scale
-    if abs(couplings.alpha) > eps:
+    if couplings.situation not in (Situation.C, Situation.DEGENERATE):
         raise PreconditionViolated(f"|alpha| = {abs(couplings.alpha):.3g} is not ~ 0")
     rel = 1e-9 * max(cfg.control_scale, 1.0)
     if abs(cfg.omega1.amplitude - cfg.omega2.amplitude) > rel or \
@@ -382,11 +369,11 @@ def bloch_evolve(cfg: FieldConfig, duration: float, dt: float | None = None) -> 
 
 
 def coherence_point(cfg: FieldConfig, delta_p: float) -> CoherenceSolution | None:
-    """Coherences at one probe detuning, falling back to the finite limit.
+    """Coherences at one probe detuning, the finite limit at beta = 0 included.
 
     Returns None when no finite value exists (genuinely singular point).
     """
-    row = _coherence_grid(cfg, np.array([float(delta_p)]))[0]
+    row = _coherence_grid(cfg, 0.0, np.array([float(delta_p)]))[0][0]
     return None if np.isnan(row).any() else CoherenceSolution(*row.tolist())
 
 
@@ -400,8 +387,8 @@ def absorption_spectrum(
 
     Default grid spans +/- 5 ``gamma_scale`` with ``DEFAULT_SPECTRUM_POINTS`` points.
     The whole grid is evaluated at once, as arrays of drift terms; a point
-    gives the same value as ``coherence_point`` there.  Singular points
-    degrade to the finite limit or NaN, never an exception.  Raises
+    gives the same value as ``coherence_point`` there.  A point with no
+    finite value is a NaN row, never an exception.  Raises
     ValueError for fewer than 3 points or an empty range.
     """
     gamma = cfg.gamma_scale
@@ -415,7 +402,7 @@ def absorption_spectrum(
         raise ValueError(f"empty grid [{grid_min}, {grid_max}]")
 
     dps = np.linspace(grid_min, grid_max, points)
-    return Spectrum(delta_p=dps, coherences=_coherence_grid(cfg, dps))
+    return Spectrum(delta_p=dps, coherences=_coherence_grid(cfg, 0.0, dps)[0])
 
 
 def count_peaks(spectrum: Spectrum) -> int:

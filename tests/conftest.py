@@ -123,6 +123,50 @@ def random_damped_config(rng: np.random.Generator, min_rate: float = 0.05,
     raise AssertionError("could not draw a well-damped config in 200 tries")
 
 
+def undamped_pole_config() -> el.FieldConfig:
+    """A genuine pole: undamped, resonant regime A at a real zero of q.
+
+    On resonance q = (x - w12)(x - w34) - |alpha*omega|^2 with x = delta_p^2
+    has real roots; beta != 0, so no finite limit exists at the smaller one.
+    """
+    amps = (0.9, 0.7, 0.4, 0.8)
+    w12, w34 = amps[0] ** 2 + amps[1] ** 2, amps[2] ** 2 + amps[3] ** 2
+    a2 = (amps[0] * amps[2] + amps[1] * amps[3]) ** 2
+    root = np.sqrt((w12 + w34 - np.sqrt((w12 - w34) ** 2 + 4.0 * a2)) / 2.0)
+    return el.FieldConfig.in_gamma_units(1.0, controls=list(amps), probe=0.01,
+                                         delta_p=float(root), gamma_b=0.0, gamma_e=0.0)
+
+
+def oracle_taylor(cfg: el.FieldConfig, h: float) -> np.ndarray:
+    """kappa0, kappa1, kappa2 of a degree-7 fit to 4x4-oracle kappa at omega = +-h..+-4h.
+
+    omega = 0 itself is left out, so the fit reaches the carrier also where
+    the 4x4 system is singular there.
+    """
+    w = h * np.array([-4, -3, -2, -1, 1, 2, 3, 4], dtype=float)
+    kappa = [x / cfg.c_light + cfg.eta * el.solve_direct(cfg, x).rho_ba / cfg.omega_p.value
+             for x in w]
+    return np.polynomial.polynomial.polyfit(w, kappa, 7)[:3]
+
+
+def kerr_from_coherences(cfg: el.FieldConfig) -> complex:
+    """Independent composition: coherence products over the probe cube."""
+    sol = el.solve_direct(cfg, 0.0)
+    probe = cfg.omega_p.value
+    total = float(np.sum(np.abs(sol.as_array()) ** 2))
+    return sol.rho_ba * total / (probe * abs(probe) ** 2)
+
+
+def kerr_limit(cfg: el.FieldConfig, d: float = 1e-6) -> complex:
+    """``kerr_from_coherences`` approached through delta_p -> cfg.delta_p.
+
+    The mean over delta_p +- d cancels the linear term, so it is off by O(d^2)
+    and never asks the 4x4 oracle for the point itself.
+    """
+    return 0.5 * (kerr_from_coherences(cfg.with_delta_p(cfg.delta_p + d))
+                  + kerr_from_coherences(cfg.with_delta_p(cfg.delta_p - d)))
+
+
 def report(criterion: int, passed: bool, detail: str) -> None:
     """One pass/fail line per acceptance criterion, printed eagerly."""
     status = "PASS" if passed else "FAIL"

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import eitlab as el
-from eitlab.cli import _apply_field, main
+from eitlab.cli import _apply_field, main, preset_names
+from conftest import kerr_limit, oracle_taylor, undamped_pole_config
+
+
+def write_config(tmp_path, cfg: el.FieldConfig, name: str = "cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(el.config_to_dict(cfg)), encoding="utf-8")
+    return path
 
 
 def read_csv(path):
@@ -86,7 +93,7 @@ class TestSpectrumCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_csv_round_trips_to_the_library_spectrum(self, tmp_path):
-        # fig4b puts the beta = 0 fallback point at delta_p = 0 on these grids;
+        # fig4b puts its beta = 0 resonance (q = 0, a finite limit) at delta_p = 0;
         # 2049 points are three CSV blocks, the last one a single row
         preset = resources.files("eitlab").joinpath("presets", "fig4b.json")
         for points in (301, 2049):
@@ -103,20 +110,16 @@ class TestSpectrumCommand:
             assert np.array_equal(table[:, 2::2], expected.coherences.imag, equal_nan=True)
 
     def test_points_without_a_finite_value_are_nan_rows(self, tmp_path):
-        # undamped regime A: q has a real zero at delta_p = root and beta != 0
-        cfg = {"controls": [0.9, 0.7, 0.4, 0.8], "probe": 0.01,
-               "detunings": {"p": 0.0, "two": 0.0, "three": 0.0},
-               "decays": {"b": 0.0, "e": 0.0}, "eta": 1.0}
-        w12, w34, a2 = 0.9**2 + 0.7**2, 0.4**2 + 0.8**2, (0.9 * 0.4 + 0.7 * 0.8) ** 2
-        root = float(np.sqrt((w12 + w34 - np.sqrt((w12 - w34) ** 2 + 4.0 * a2)) / 2.0))
-        path = tmp_path / "undamped.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        # undamped regime A: q has real zeros at delta_p = +-root and beta != 0
+        pole = undamped_pole_config()
+        root, path = pole.delta_p, write_config(tmp_path, pole.with_delta_p(0.0))
         out = tmp_path / "nan"
         assert main(["spectrum", "--config", str(path), "--out", str(out), "--grid-min",
                      repr(-root), "--grid-max", repr(root), "--grid-points", "3"]) == 0
         rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
         assert rows[0][1:] == ["nan"] * 8 and rows[2][1:] == ["nan"] * 8
         assert "nan" not in rows[1]
+        assert json.loads((out / "manifest.json").read_text())["nan_points"] == 2
 
     def test_domain_error_exits_3(self, tmp_path):
         cfg = {
@@ -130,11 +133,27 @@ class TestSpectrumCommand:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["eigen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
-    def test_numerical_failure_exits_4(self, tmp_path):
-        # regime B on full resonance: the response denominator is exactly
-        # singular at the carrier, so the dispersion expansion must refuse
-        assert main(["dispersion", "--config", "fig4b",
-                     "--out", str(tmp_path / "o")]) == 4
+    def test_numerical_failure_exits_4(self, tmp_path, fig4b):
+        # regime B on full resonance: q(0) = 0, but t2 cancels, so dispersion,
+        # soliton and linear propagation give the finite limit, which matches
+        # the 4x4 oracle approached from away from the carrier
+        out = tmp_path / "b"
+        assert main(["dispersion", "--config", "fig4b", "--out", str(out)]) == 0
+        report = json.loads((out / "dispersion.json").read_text())
+        for key, oracle, rtol in zip(("kappa0", "kappa1", "kappa2"), oracle_taylor(fig4b, 1e-3),
+                                     (1e-12, 1e-12, 1e-9)):
+            assert abs(complex(*report[key]) - oracle) <= rtol * abs(oracle), key
+        assert main(["soliton", "--config", "fig4b", "--out", str(out)]) == 0
+        theta = complex(*json.loads((out / "soliton.json").read_text())["theta"])
+        assert abs(theta + fig4b.eta * kerr_limit(fig4b)) <= 1e-9 * abs(theta)
+        assert main(["propagate", "--config", "fig4b", "--mode", "linear",
+                     "--checkpoints", "0.5", "--out", str(out)]) == 0
+        assert np.isfinite(read_csv(out / "snapshot_001.csv")["abs"]).all()
+        # a genuine pole has no finite value: every layer refuses it
+        path = write_config(tmp_path, undamped_pole_config())
+        for argv in (["dispersion"], ["soliton"], ["propagate", "--mode", "linear"]):
+            assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestEigenCommand:
@@ -370,9 +389,9 @@ class TestScanCommand:
         assert first_absorption > 0.01
         assert abs(last_absorption) < 1e-12
 
-    def test_regime_b_row_has_nan_coefficients(self, tmp_path):
-        # phi = 0 puts fig4b in regime B, where q(0) vanishes and the
-        # envelope coefficients do not exist
+    def test_regime_b_row_has_finite_coefficients(self, tmp_path, fig4b):
+        # phi = 0 puts fig4b in regime B, where q(0) vanishes but t2 cancels:
+        # the envelope coefficients are the finite limit of the 4x4 oracle
         out = tmp_path / "scan_b"
         assert main(["scan", "--config", "fig4b", "--sweep", "phi",
                      "--sweep-start", "0", "--sweep-stop", "1",
@@ -380,10 +399,29 @@ class TestScanCommand:
         header, first = (out / "scan.csv").read_text().splitlines()[:2]
         row = dict(zip(header.split(","), first.split(",")))
         assert row["value"] == "0" and row["situation"] == "B"
-        for cell in ("chi", "kappa2_re", "kappa2_im", "theta_re", "theta_im"):
-            assert row[cell] == "nan"
+        kappa0, _kappa1, kappa2 = oracle_taylor(fig4b, 1e-3)
+        theta = -fig4b.eta * kerr_limit(fig4b)
+        assert float(row["chi"]) == pytest.approx(2.0 * kappa0.imag, rel=1e-12)
+        assert complex(float(row["kappa2_re"]), float(row["kappa2_im"])) == pytest.approx(
+            kappa2, rel=1e-9)
+        assert complex(float(row["theta_re"]), float(row["theta_im"])) == pytest.approx(
+            theta, rel=1e-9)
         assert row["soliton_type"] == ""
         assert row["peak_count"] != "nan"
+
+        # at a genuine pole (delta_p = +-root) the coefficients do not exist
+        pole = undamped_pole_config()
+        path = write_config(tmp_path, pole.with_delta_p(0.0))
+        out = tmp_path / "scan_pole"
+        assert main(["scan", "--config", str(path), "--sweep", "detunings.p",
+                     "--sweep-start", repr(-pole.delta_p), "--sweep-stop", repr(pole.delta_p),
+                     "--sweep-points", "3", "--out", str(out)]) == 0
+        lines = (out / "scan.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        for row in rows[0], rows[2]:
+            for cell in ("chi", "kappa2_re", "kappa2_im", "theta_re", "theta_im"):
+                assert row[cell] == "nan"
+        assert rows[1]["chi"] != "nan"
 
     def test_empty_range_header_only(self, tmp_path):
         out = tmp_path / "scan0"
@@ -442,6 +480,25 @@ class TestScanCommand:
         assert _apply_field(fig4a, "probe.phase", 0.5).omega_p.phase == 0.5
         assert _apply_field(fig4a, "detunings.two", 0.5).delta_2 == 0.5
         assert _apply_field(fig4a, "phi", 0.5).phi == pytest.approx(0.5)
+
+
+class TestStandardJson:
+    def test_reports_and_manifests_parse_strictly(self, tmp_path):
+        # RFC 8259 has no NaN or Infinity: a non-finite float is written as null
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        for preset in preset_names():
+            for command in ("spectrum", "eigen", "dispersion", "soliton"):
+                out = tmp_path / f"{command}_{preset}"
+                assert main([command, "--config", preset, "--out", str(out)]) == 0
+                for path in out.glob("*.json"):
+                    json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+            manifest = json.loads((tmp_path / f"spectrum_{preset}" / "manifest.json").read_text())
+            assert manifest["nan_points"] == 0
+        # theta_r = 0 on fig4a, so the ratio Im/Re is infinite
+        report = json.loads((tmp_path / "soliton_fig4a" / "soliton.json").read_text())
+        assert report["theta_r"] == 0 and report["imag_ratio_theta"] is None
 
 
 class TestDeterminism:

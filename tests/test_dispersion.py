@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 import eitlab as el
 from eitlab.dispersion import response_polynomials
 from eitlab.numerics import richardson_derivative
-from conftest import cs_config, random_nonsingular_config
+from conftest import cs_config, oracle_taylor, random_nonsingular_config, undamped_pole_config
 
 
 def fd_check(cfg, rtol=1e-6):
@@ -70,10 +70,21 @@ class TestKappa:
                 assert abs(kappa - composed) <= rtol * max(abs(kappa), 1e-300)
 
     def test_singular_denominator_raises(self, fig4b):
+        # at beta = 0 on resonance q(0) = 0, but t2 cancels and kappa is
+        # analytic there: it must match a fit to the 4x4 oracle away from 0
+        expansion = el.taylor_coefficients(fig4b)
+        fitted = oracle_taylor(fig4b, 1e-3)
+        got = [expansion.kappa0, expansion.kappa1, expansion.kappa2]
+        for value, oracle, rtol in zip(got, fitted, (1e-12, 1e-12, 1e-9)):
+            assert abs(value - oracle) <= rtol * abs(value)
+        assert el.kappa_of_omega(fig4b, 0.0) == pytest.approx(expansion.kappa0, rel=1e-14)
+        fd_check(fig4b)
+        # a genuine pole has no finite value
+        pole = undamped_pole_config()
         with pytest.raises(el.SingularDenominator):
-            el.kappa_of_omega(fig4b, 0.0)
+            el.kappa_of_omega(pole, 0.0)
         with pytest.raises(el.SingularDenominator):
-            el.taylor_coefficients(fig4b)
+            el.taylor_coefficients(pole)
 
 
 class TestTaylorVsFiniteDifferences:

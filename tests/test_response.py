@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import eitlab as el
 from eitlab.response import bloch_generator, coherences_beta0_limit
-from conftest import random_config, random_nonsingular_config
+from conftest import random_config, random_nonsingular_config, undamped_pole_config
 
 #: Largest condition number at which the 4x4 oracle is trusted to 1e-10.
 ORACLE_MAX_COND = 1e-10 / np.finfo(float).eps
@@ -69,14 +69,21 @@ class TestCoherencesFourier:
         assert np.allclose(three, 3.0 * one, rtol=1e-12)
 
     def test_singular_denominator_raises(self, fig4b):
-        # regime B at exact two-photon resonance: q = 0
+        # regime B at exact two-photon resonance: q = 0, but t2 cancels and the
+        # reduced form gives the finite limit, next to the 4x4 oracle's values
+        limit = el.coherences_fourier(fig4b, 0.0).as_array()
+        nearby = el.solve_direct(fig4b.with_delta_p(1e-7), 0.0).as_array()
+        assert rel_diff(limit, nearby) < 1e-6
+        # a genuine pole has no finite value
         with pytest.raises(el.SingularDenominator):
-            el.coherences_fourier(fig4b, 0.0)
+            el.coherences_fourier(undamped_pole_config(), 0.0)
 
-    def test_beta0_limit_matches_nearby_values(self, fig4b):
+    def test_beta0_limit_matches_nearby_values(self, fig4b, fig4a):
         limit = coherences_beta0_limit(fig4b, 0.0).as_array()
-        nearby = el.coherences_fourier(fig4b.with_delta_p(1e-7), 0.0).as_array()
+        nearby = el.solve_direct(fig4b.with_delta_p(1e-7), 0.0).as_array()
         assert rel_diff(limit, nearby) < 1e-5
+        with pytest.raises(el.SingularDenominator):
+            coherences_beta0_limit(fig4a, 0.0)  # beta != 0: no reduced form
 
     def test_matches_direct_solve_randomized(self):
         rng = np.random.default_rng(10)
@@ -261,26 +268,39 @@ class TestArrayKernel:
             assert rel_diff(row, point.as_array()) <= 1e-13
             if np.linalg.cond(bloch_generator(local)[0]) <= ORACLE_MAX_COND:
                 assert rel_diff(row, el.solve_direct(local, 0.0).as_array()) < 1e-10
-            try:
-                el.coherences_fourier(local, 0.0)
-            except el.SingularDenominator:
-                assert rel_diff(row, coherences_beta0_limit(local, 0.0).as_array()) <= 1e-13
-                # the 4x4 system is singular here; the limit must join its neighbours
+            else:
+                # the 4x4 system is (nearly) singular here; the beta = 0 limit
+                # must join its neighbours
                 nearby = el.solve_direct(cfg.with_delta_p(float(dp) + 1e-7), 0.0)
                 assert rel_diff(row, nearby.as_array()) < 1e-5
 
     def test_no_finite_value_stays_nan(self):
-        # undamped, resonant regime A: q = (x - w12)(x - w34) - |alpha*omega|^2 with
-        # x = delta_p^2 has real roots, and beta != 0 leaves no finite limit there
-        amps = (0.9, 0.7, 0.4, 0.8)
-        cfg = el.FieldConfig.in_gamma_units(
-            1.0, controls=list(amps), probe=0.01, gamma_b=0.0, gamma_e=0.0)
-        w12, w34 = amps[0] ** 2 + amps[1] ** 2, amps[2] ** 2 + amps[3] ** 2
-        a2 = (amps[0] * amps[2] + amps[1] * amps[3]) ** 2
-        root = np.sqrt((w12 + w34 - np.sqrt((w12 - w34) ** 2 + 4.0 * a2)) / 2.0)
+        # undamped, resonant regime A: q has real zeros at delta_p = +-root, and
+        # beta != 0 leaves no finite limit there
+        pole = undamped_pole_config()
+        root, cfg = pole.delta_p, pole.with_delta_p(0.0)
         spec = el.absorption_spectrum(cfg, -root, root, 3)
         assert np.isnan(spec.coherences[[0, 2]].view(float)).all()
         assert np.isfinite(spec.coherences[1]).all()
         assert el.coherence_point(cfg, root) is None
         with pytest.raises(el.SingularDenominator):
-            coherences_beta0_limit(cfg.with_delta_p(root), 0.0)
+            coherences_beta0_limit(pole, 0.0)
+
+    def test_beta_zero_test_is_unit_free(self):
+        # |beta| ~ 7e-10 gamma is far above CLASSIFICATION_RTOL * control_scale,
+        # so the tilted config is regime A in every unit system; its resonance
+        # q = |beta*Omega|^2 is below the floor and has no finite value.  The
+        # phi = 0 twin is regime B, whose N-type value scales as 1/gamma_unit
+        # at a fixed absolute probe.
+        def config(gamma_unit, phase):
+            return el.FieldConfig.in_gamma_units(
+                gamma_unit, controls=[(1e-3, phase), 1e-3, 1e-3, 1e-3], probe=0.01 / gamma_unit)
+
+        reference = el.coherence_point(config(1.0, 0.0), 0.0).as_array()
+        assert reference[0] == pytest.approx(0.01j, rel=1e-12)
+        for gamma_unit in (1.0, 1e3, 1e7):
+            tilted = config(gamma_unit, 1e-6)
+            assert el.derive_couplings(tilted).situation is el.Situation.A
+            assert el.coherence_point(tilted, 0.0) is None
+            twin = el.coherence_point(config(gamma_unit, 0.0), 0.0)
+            assert rel_diff(twin.as_array() * gamma_unit, reference) < 1e-12
