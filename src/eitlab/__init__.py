@@ -91,6 +91,5 @@ from .nls import (
     soliton_fidelity,
     split_step,
 )
-from .numerics import ComplexGrid
 
 __version__ = "0.1.0"

@@ -45,13 +45,13 @@ from .dispersion import (
 )
 from .nls import (
     MIN_DARK_WINDOW_WIDTHS,
-    Envelope,
     analytic_soliton,
     dark_pair_envelope,
     nls_coefficients,
     reference_amplitude,
     split_step,
 )
+from .numerics import Envelope, centred_times
 from .spectral import build_h4, eigensystem_a, eigensystem_b, numeric_eigensystem
 
 
@@ -281,12 +281,12 @@ def _propagate_linear(cfg, pulse: dict, propagation: dict, checkpoints, out: Pat
     points = propagation.get("grid_points", DEFAULT_GRID_POINTS)
     window = propagation.get("window_widths", DEFAULT_WINDOW_WIDTHS) * tau0
     spec = GaussianPulseSpec(amplitude=amplitude, tau0=tau0)
-    grid0 = spec.sample(points=points, window=window)
+    launch = spec.sample(points=points, window=window)
 
     def frames():
         for z in checkpoints:
-            propagated = spectral_propagate(cfg, grid0, z, kappa="full")
-            field = propagated.values
+            propagated = spectral_propagate(cfg, launch, z, kappa="full")
+            field = propagated.samples
             yield z, (propagated.times(), field.real, field.imag, _modulus(field))
 
     return _write_propagation(out, "t,re,im,abs", frames())
@@ -314,8 +314,7 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
     if soliton.spec.kind == "dark":
         envelope = dark_pair_envelope(soliton, points, dt)
     else:
-        envelope = Envelope(samples=soliton.envelope((np.arange(points) - points // 2) * dt),
-                            dt_grid=dt, zeta=0.0)
+        envelope = Envelope(samples=soliton.envelope(centred_times(points, dt)), dt_grid=dt)
 
     length = checkpoints[-1]
     l_disp = tau**2 / abs(coeffs.kappa2_r) if coeffs.kappa2_r else math.inf

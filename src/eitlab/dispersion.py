@@ -16,19 +16,21 @@ do; ``response_polynomials`` only supplies the Taylor layer's coefficients.
 The Taylor coefficients are computed by exact differentiation of the
 polynomial ratio and are cross-checked against Richardson finite
 differences of kappa itself; a closed-form Gaussian propagator and an FFT
-propagator provide mutually independent oracles for pulse evolution.
+propagator provide mutually independent oracles for pulse evolution.  The
+FFT propagator takes and returns the ``Envelope`` the split-step uses,
+sampled in lab time; it transforms with ``np.fft``, not the split-step's
+Fourier multiplier, so the two propagators share no transform code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import GridTooNarrow, SingularDenominator
-from .numerics import ComplexGrid, fft, ifft
+from .numerics import Envelope, centred_times, fft, ifft
 from .params import FieldConfig
 from .response import _drift, _response_at, _response_scalars
 
@@ -74,15 +76,16 @@ class GaussianPulseSpec:
         return self.amplitude * np.exp(-((np.asarray(t, dtype=float) / self.tau0) ** 2))
 
     def sample(self, points: int = DEFAULT_GRID_POINTS,
-               window: float | None = None) -> ComplexGrid:
-        """Sample the pulse on a symmetric power-of-two grid around t = 0."""
+               window: float | None = None) -> Envelope:
+        """The pulse at z = 0 on the centred grid of ``points`` samples over ``window`` s.
+
+        The spacing is window/points and t = 0 is sample points//2; ``points``
+        must be a power of two.
+        """
         if window is None:
             window = DEFAULT_WINDOW_WIDTHS * self.tau0
-        spacing = window / points
-        origin = -0.5 * window
-        t = origin + spacing * np.arange(points)
-        return ComplexGrid(values=self.envelope(t).astype(complex),
-                           spacing=spacing, origin=origin)
+        dt = window / points
+        return Envelope(samples=self.envelope(centred_times(points, dt)), dt_grid=dt)
 
 
 def response_polynomials(cfg: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -178,29 +181,28 @@ def _check_edges(values: np.ndarray) -> None:
         )
 
 
-def spectral_propagate(cfg: FieldConfig, grid: ComplexGrid, z: float,
-                       kappa: str = "full") -> ComplexGrid:
-    """Propagate sampled field by exponentiating the dispersion relation.
+def spectral_propagate(cfg: FieldConfig, envelope: Envelope, z: float,
+                       kappa: str = "full") -> Envelope:
+    """Advance a sampled field by ``z`` cm, exponentiating the dispersion relation.
 
     ``kappa`` selects the phase function: "full" uses kappa_of_omega,
-    "taylor" its quadratic truncation, or pass a callable omega -> kappa.
-    Sideband frequencies follow the exp(-i*omega*t) convention, so a
-    positive group delay moves the pulse to later times.
+    "taylor" its quadratic truncation.  The samples stay on the envelope's
+    lab-time grid and ``zeta`` grows by ``z``.  The sideband frequencies are
+    the envelope's (exp(-i*omega*t) convention), so a positive group delay
+    moves the pulse to later times.  Raises GridTooNarrow when the input is
+    not small at the grid edges and NumericalError when the propagated field
+    is not finite (gain overflow).
     """
-    values = grid.values
-    _check_edges(values)
-    n = values.size
-    omega = -2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing)
-
-    if callable(kappa):
-        phase = np.asarray(kappa(omega), dtype=complex)
-    elif kappa == "full":
+    _check_edges(envelope.samples)
+    omega = envelope.frequencies()
+    if kappa == "full":
         phase = np.asarray(kappa_of_omega(cfg, omega), dtype=complex)
     elif kappa == "taylor":
         exp = taylor_coefficients(cfg)
         phase = exp.kappa0 + exp.kappa1 * omega + exp.kappa2 * omega**2
     else:
-        raise ValueError(f"kappa must be 'full', 'taylor', or a callable, got {kappa!r}")
+        raise ValueError(f"kappa must be 'full' or 'taylor', got {kappa!r}")
 
-    spectrum = fft(values) * np.exp(1j * phase * z)
-    return ComplexGrid(values=ifft(spectrum), spacing=grid.spacing, origin=grid.origin)
+    with np.errstate(over="ignore", invalid="ignore"):  # advanced() reports an overflow
+        propagated = ifft(fft(envelope.samples) * np.exp(1j * phase * z))
+    return envelope.advanced(propagated, z)

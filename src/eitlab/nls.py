@@ -12,6 +12,8 @@ retarded time) obeys
     i d(u)/d(zeta) - kappa2 d2(u)/d(tau_ret)2 = theta * exp(-chi*zeta) |u|^2 u
 
 whose real-coefficient limit is the standard cubic Schrodinger equation.
+The split-step walks an ``Envelope`` (defined in ``numerics`` and shared
+with the linear propagator), whose grid is read as tau_ret here.
 
 Soliton conventions: substituting the sech/tanh profiles into the
 real-coefficient equation fixes amplitude^2 = 2|kappa2_r/theta_r|/tau^2 and
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooNarrow, SingularDenominator, StepTooLarge, WrongSign
-from .numerics import fft, fourier_multiplier
+from .errors import (GridMismatch, GridTooNarrow, NumericalError, SingularDenominator,
+                     StepTooLarge, WrongSign)
+from .numerics import Envelope, centred_times, fft, fourier_multiplier
 from .numerics import ifft  # noqa: F401  (perfbench's tracer rebinds it in this module)
 from .params import FieldConfig
 from .response import _response_at
@@ -94,39 +97,6 @@ class SolitonSpec:
     kind: str
     tau: float
     amplitude: float
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Complex probe envelope on a uniform retarded-time grid.
-
-    ``samples[k]`` lives at tau_ret = (k - n//2) * dt_grid; ``zeta`` is the
-    propagated distance in cm.  Length must be a power of two for the
-    spectral steps.
-    """
-
-    samples: np.ndarray
-    dt_grid: float
-    zeta: float = 0.0
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        n = samples.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError(f"envelope length must be a power of two >= 2, got {n}")
-        if not (self.dt_grid > 0):
-            raise ValueError(f"dt_grid must be > 0, got {self.dt_grid}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("envelope samples must be finite")
-
-    def times(self) -> np.ndarray:
-        n = self.samples.size
-        return (np.arange(n) - n // 2) * self.dt_grid
-
-    @property
-    def window(self) -> float:
-        return self.samples.size * self.dt_grid
 
 
 @dataclass(frozen=True)
@@ -247,8 +217,7 @@ def dark_pair_envelope(soliton: Soliton, points: int, dt: float,
             f"window {window:.3e} s holds {window / soliton.spec.tau:.1f} widths; "
             f"need >= {MIN_DARK_WINDOW_WIDTHS:.0f}"
         )
-    n = points
-    t = (np.arange(n) - n // 2) * dt
+    t = centred_times(points, dt)
     profile = dark_pair_profile(soliton, t, window) * np.exp(1j * soliton.phase_rate * zeta)
     return Envelope(samples=profile, dt_grid=dt, zeta=zeta)
 
@@ -271,19 +240,19 @@ def _check_wrap(samples: np.ndarray) -> None:
         )
 
 
-def _characteristic_lengths(samples: np.ndarray, dt: float,
+def _characteristic_lengths(envelope: Envelope,
                             kappa2_r: float, theta_r: float) -> tuple[float, float]:
     # Dispersion length from the rms occupied bandwidth, nonlinear length
     # from the peak intensity; both are infinite when the coefficient is off.
-    spectrum = np.abs(fft(samples)) ** 2
+    spectrum = np.abs(fft(envelope.samples)) ** 2
     power = float(spectrum.sum())
     l_disp = math.inf
     if kappa2_r != 0.0 and power > 0.0:
-        omega = 2.0 * math.pi * np.fft.fftfreq(samples.size, d=dt)
+        omega = envelope.frequencies()
         mean_w2 = float((spectrum * omega**2).sum() / power)
         if mean_w2 > 0.0:
             l_disp = 1.0 / (abs(kappa2_r) * mean_w2)
-    peak2 = float(np.max(np.abs(samples)) ** 2)
+    peak2 = float(np.max(np.abs(envelope.samples)) ** 2)
     l_nl = math.inf
     if theta_r != 0.0 and peak2 > 0.0:
         l_nl = 1.0 / (abs(theta_r) * peak2)
@@ -351,7 +320,8 @@ def split_step(coeffs: NlsCoefficients, envelope: Envelope, dz: float,
     lengths.  The walk opens with a half substep of length w_0*dz/2 and
     closes with w_n = 0, i.e. a half substep, so a run split at a checkpoint
     composes as the unsplit run does.  The fused substep diverges (raising
-    StepTooLarge) exactly when one of the two it replaces would.
+    StepTooLarge) exactly when one of the two it replaces would.  A gain
+    (chi < 0) whose weight or field overflows raises NumericalError.
     """
     if mode == "ideal":
         kappa2 = complex(coeffs.kappa2_r)
@@ -368,7 +338,7 @@ def split_step(coeffs: NlsCoefficients, envelope: Envelope, dz: float,
 
     u = np.array(envelope.samples, dtype=complex)
     _check_wrap(u)
-    l_disp, l_nl = _characteristic_lengths(u, envelope.dt_grid, kappa2.real, theta.real)
+    l_disp, l_nl = _characteristic_lengths(envelope, kappa2.real, theta.real)
     limit = min(l_disp, l_nl) / MIN_STEPS_PER_LENGTH
     if dz > limit:
         raise StepTooLarge(
@@ -376,19 +346,23 @@ def split_step(coeffs: NlsCoefficients, envelope: Envelope, dz: float,
             f"{MIN_STEPS_PER_LENGTH} = {limit:.3e} cm"
         )
 
-    omega = 2.0 * math.pi * np.fft.fftfreq(u.size, d=envelope.dt_grid)
+    omega = envelope.frequencies()
     disperse = fourier_multiplier(np.exp(1j * kappa2 * omega**2 * dz))
 
     zeta = envelope.zeta
-    weights = [math.exp(-chi * (zeta + (k + 0.5) * dz)) if chi != 0.0 else 1.0
-               for k in range(n_steps)] + [0.0]
+    try:
+        weights = [math.exp(-chi * (zeta + (k + 0.5) * dz)) if chi != 0.0 else 1.0
+                   for k in range(n_steps)] + [0.0]
+    except OverflowError:
+        raise NumericalError(f"gain exp(-chi*zeta) overflows before zeta = "
+                             f"{zeta + n_steps * dz:.6g} cm") from None
     work = (np.empty(u.size), np.empty(u.size), np.empty(u.size, dtype=complex))
     if n_steps:
         _kerr_substep(u, theta, weights[0] * dz / 2.0, work)
     for k in range(n_steps):
         disperse(u)
         _kerr_substep(u, theta, (weights[k] + weights[k + 1]) * dz / 2.0, work)
-    return Envelope(samples=u, dt_grid=envelope.dt_grid, zeta=zeta + n_steps * dz)
+    return envelope.advanced(u, n_steps * dz)
 
 
 def soliton_fidelity(reference: Envelope, test: Envelope) -> float:

@@ -1,6 +1,8 @@
 """Shared numeric kernels with documented contracts.
 
-Small dense complex linear solves, power-of-two FFT wrappers, a four-step
+The sampled probe field (``Envelope``, the one type both propagators take
+and return, with its centred time grid and sideband frequencies), small
+dense complex linear solves, power-of-two FFT wrappers, a four-step
 Fourier multiplier, fixed-step RK4 for linear systems, Richardson-extrapolated
 central differences, a Hermitian eigendecomposition oracle, and a
 prominence-based peak finder.  All kernels are stateless but the multiplier,
@@ -13,46 +15,68 @@ convention).  All call sites assume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, SingularMatrix, StepTooLarge
+from .errors import BadLength, NumericalError, SingularMatrix, StepTooLarge
 
 # Pivot threshold relative to the row scale; below this the matrix is
 # treated as singular rather than dividing by a denormal.
 _PIVOT_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ComplexGrid:
-    """Complex samples on a uniform 1-D grid.
-
-    ``values[k]`` lives at coordinate ``origin + k*spacing``.
-    """
-
-    values: np.ndarray
-    spacing: float
-    origin: float = 0.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 2:
-            raise BadLength(f"grid needs >= 2 samples, got shape {values.shape}")
-        if not (self.spacing > 0):
-            raise ValueError(f"grid spacing must be > 0, got {self.spacing}")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def times(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.values.size)
-
-
 def _require_power_of_two(n: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise BadLength(f"spectral kernels need a power-of-two length, got {n}")
+
+
+def centred_times(n: int, dt: float) -> np.ndarray:
+    """The centred time grid ``t_k = (k - n//2) * dt`` of an n-sample field."""
+    return (np.arange(n) - n // 2) * dt
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Complex probe envelope sampled on the centred time grid.
+
+    ``samples[k]`` lives at t = (k - n//2) * dt_grid (lab time in the linear
+    propagator, retarded time in the nonlinear one); ``zeta`` is the
+    propagated distance in cm.  The length is a power of two >= 2, as the
+    spectral steps need, and every sample is finite.
+    """
+
+    samples: np.ndarray
+    dt_grid: float
+    zeta: float = 0.0
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=complex)
+        object.__setattr__(self, "samples", samples)
+        _require_power_of_two(samples.size)
+        if not (self.dt_grid > 0):
+            raise ValueError(f"dt_grid must be > 0, got {self.dt_grid}")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("envelope samples must be finite")
+
+    def times(self) -> np.ndarray:
+        return centred_times(self.samples.size, self.dt_grid)
+
+    def frequencies(self) -> np.ndarray:
+        """Sideband angular frequencies of the FFT bins, exp(-i*omega*t) convention."""
+        return -2.0 * math.pi * np.fft.fftfreq(self.samples.size, d=self.dt_grid)
+
+    def advanced(self, samples: np.ndarray, distance: float) -> Envelope:
+        """The envelope ``distance`` cm further on, holding ``samples``.
+
+        Raises NumericalError, naming the distance reached, when a sample is
+        not finite: the propagation overflowed.
+        """
+        zeta = self.zeta + distance
+        if not np.all(np.isfinite(samples)):
+            raise NumericalError(f"propagated field is not finite at zeta = {zeta:.6g} cm")
+        return Envelope(samples=samples, dt_grid=self.dt_grid, zeta=zeta)
 
 
 def fft(values: np.ndarray) -> np.ndarray:

@@ -240,7 +240,7 @@ def solve_direct(cfg: FieldConfig, omega: float) -> CoherenceSolution:
 
 
 def _require_resonance(cfg: FieldConfig) -> None:
-    tol = 1e-12 * max(cfg.rate_scale, 1.0)
+    tol = 1e-12 * cfg.rate_scale
     if abs(cfg.delta_2) > tol or abs(cfg.delta_3) > tol:
         raise PreconditionViolated(
             f"closed form needs delta_2 = delta_3 = 0, got {cfg.delta_2:.3g}, {cfg.delta_3:.3g}"
@@ -261,7 +261,7 @@ def steady_state_interference(cfg: FieldConfig) -> complex:
     db = 1j * dp * (-cfg.gamma_b / 2.0 + 1j * dp)
     num = cfg.omega_p.value * dp * (omega_sq + de)
     den = abs(b_om) ** 2 + de * w12 + db * (omega_sq + de)
-    tol = SINGULAR_RTOL * max(abs(dp), cfg.gamma_char, cfg.control_scale, 1.0) ** 4
+    tol = SINGULAR_RTOL * max(abs(dp), cfg.gamma_char, cfg.control_scale) ** 4
     if abs(den) <= tol:
         raise SingularDenominator(f"steady-state denominator {abs(den):.3e} below floor")
     return num / den
@@ -283,7 +283,7 @@ def steady_state_no_interference(cfg: FieldConfig) -> complex:
     ge = -cfg.gamma_e / 2.0 + 1j * dp
     num = cfg.omega_p.value * (omega_sq + 1j * dp * ge)
     den = 1j * ge * w12 + 1j * (-cfg.gamma_b / 2.0 + 1j * dp) * (omega_sq + 1j * dp * ge)
-    tol = SINGULAR_RTOL * max(abs(dp), cfg.gamma_char, cfg.control_scale, 1.0) ** 3
+    tol = SINGULAR_RTOL * max(abs(dp), cfg.gamma_char, cfg.control_scale) ** 3
     if abs(den) <= tol:
         raise SingularDenominator(f"steady-state denominator {abs(den):.3e} below floor")
     return num / den
@@ -300,13 +300,13 @@ def steady_state_lambda(cfg: FieldConfig) -> complex:
     couplings = derive_couplings(cfg)
     if couplings.situation not in (Situation.C, Situation.DEGENERATE):
         raise PreconditionViolated(f"|alpha| = {abs(couplings.alpha):.3g} is not ~ 0")
-    rel = 1e-9 * max(cfg.control_scale, 1.0)
+    rel = 1e-9 * cfg.control_scale
     if abs(cfg.omega1.amplitude - cfg.omega2.amplitude) > rel or \
             abs(cfg.omega3.amplitude - cfg.omega4.amplitude) > rel:
         raise PreconditionViolated("symmetric case needs |omega1| = |omega2| and |omega3| = |omega4|")
     dp = cfg.delta_p
     den = abs(couplings.beta) ** 2 + 1j * dp * (-cfg.gamma_b / 2.0 + 1j * dp)
-    tol = SINGULAR_RTOL * max(abs(dp), cfg.gamma_char, cfg.control_scale, 1.0) ** 2
+    tol = SINGULAR_RTOL * max(abs(dp), cfg.gamma_char, cfg.control_scale) ** 2
     if abs(den) <= tol:
         raise SingularDenominator(f"steady-state denominator {abs(den):.3e} below floor")
     return cfg.omega_p.value * dp / den

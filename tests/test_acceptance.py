@@ -288,7 +288,7 @@ def test_criterion_7_linear_propagation():
     for z in (0.25, 0.5, 1.0):
         propagated = el.spectral_propagate(cfg, grid, z, kappa="taylor")
         closed = el.gaussian_closed_form(cfg, pulse, z, propagated.times())
-        worst = max(worst, float(np.linalg.norm(propagated.values - closed)
+        worst = max(worst, float(np.linalg.norm(propagated.samples - closed)
                                  / np.linalg.norm(closed)))
     ok = worst < 1e-6
     report(7, ok, f"closed-form Gaussian vs FFT propagation (quadratic phase), "

@@ -333,6 +333,25 @@ class TestPropagateWriters:
         assert len(expected) == 1 + 2 * 4096
         assert waterfall == expected
 
+    def test_linear_snapshot_round_trips_to_spectral_propagate(self, tmp_path):
+        path, data, out = small_soliton_run(tmp_path, "linear", "0.5")
+        lines = (out / "snapshot_001.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "t,re,im,abs"
+        table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+
+        cfg = el.load_config(path)
+        tau0, points = data["pulse"]["tau0"], data["propagation"]["grid_points"]
+        pulse = el.GaussianPulseSpec(amplitude=cfg.omega_p.amplitude, tau0=tau0)
+        launch = pulse.sample(points, data["propagation"]["window_widths"] * tau0)
+        expected = el.spectral_propagate(cfg, launch, 0.5)
+        field = expected.samples
+        assert expected.zeta == 0.5
+        assert np.array_equal(table[:, 0], expected.times())
+        assert table[points // 2, 0] == 0.0
+        assert np.array_equal(table[:, 1], field.real)
+        assert np.array_equal(table[:, 2], field.imag)
+        assert np.array_equal(table[:, 3], np.hypot(field.real, field.imag))
+
 
 class TestPropagateStreaming:
     @pytest.mark.parametrize("mode", ["ideal", "linear"])
@@ -373,6 +392,20 @@ class TestPropagateStreaming:
         assert ((partial / "snapshot_001.csv").read_bytes()
                 == (complete / "snapshot_001.csv").read_bytes())
 
+
+    @pytest.mark.parametrize("mode, checkpoints", [("linear", "1e6,1e9"), ("full", "1e5")])
+    def test_gain_overflow_exits_4(self, tmp_path, capsys, mode, checkpoints):
+        # negative decays are gain (validate only warns); over these distances
+        # the field overflows, which is a numerical failure, not a traceback
+        path, data = soliton_config(tmp_path, grid_points=1024)
+        data["decays"] = {"b": -32672563.597333845, "e": -32672563.597333845}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(path), "--mode", mode,
+                     "--checkpoints", checkpoints, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("eitlab: numerical failure: ") and "zeta = 1" in err
+        assert list(out.iterdir()) == []
 
 class TestScanCommand:
     def test_phase_sweep_regime_transition(self, tmp_path):
@@ -530,3 +563,17 @@ class TestDeterminism:
                 assert main(argv + ["--out", str(out)]) == 0
                 texts.append((out / f"{name}.csv").read_bytes())
             assert texts[0] == texts[1], name
+
+    @pytest.mark.parametrize("mode", ["linear", "ideal"])
+    def test_repeat_propagate_runs_are_byte_identical(self, tmp_path, mode):
+        path, _data = soliton_config(tmp_path, grid_points=1024, dz=0.125)
+        outs = []
+        for i in range(2):
+            out = tmp_path / f"{mode}{i}"
+            assert main(["propagate", "--config", str(path), "--mode", mode,
+                         "--checkpoints", "0.25,0.5", "--out", str(out)]) == 0
+            outs.append(out)
+        names = ["snapshot_001.csv", "snapshot_002.csv", "waterfall.csv"]
+        assert sorted(p.name for p in outs[0].iterdir()) == sorted(names + ["manifest.json"])
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -124,7 +124,7 @@ class TestGaussianClosedForm:
         grid = pulse.sample()
         out = el.spectral_propagate(cfg, grid, 0.2, kappa="full")
         ref = el.gaussian_closed_form(cfg, pulse, 0.2, out.times())
-        rel = np.linalg.norm(out.values - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(out.samples - ref) / np.linalg.norm(ref)
         assert rel < 1e-6
 
 
@@ -133,7 +133,7 @@ class TestSpectralPropagate:
         pulse = el.GaussianPulseSpec(amplitude=1.0, tau0=3.0)
         grid = pulse.sample(points=1024, window=60.0)
         out = el.spectral_propagate(fig4a.with_delta_p(1.0), grid, 0.0)
-        assert np.allclose(out.values, grid.values, atol=1e-12)
+        assert np.allclose(out.samples, grid.samples, atol=1e-12)
 
     def test_vacuum_is_pure_delay(self):
         cfg = el.FieldConfig.in_gamma_units(
@@ -143,7 +143,7 @@ class TestSpectralPropagate:
         z = 3.0
         out = el.spectral_propagate(cfg, grid, z)
         expected = pulse.envelope(grid.times() - z / cfg.c_light)
-        assert np.max(np.abs(out.values - expected)) < 1e-10
+        assert np.max(np.abs(out.samples - expected)) < 1e-10
 
     def test_narrowband_convergence_to_closed_form(self):
         # widening the pulse shrinks the full-vs-quadratic mismatch
@@ -154,7 +154,7 @@ class TestSpectralPropagate:
             grid = pulse.sample()
             out = el.spectral_propagate(cfg, grid, 0.5, kappa="full")
             ref = el.gaussian_closed_form(cfg, pulse, 0.5, out.times())
-            errors.append(np.linalg.norm(out.values - ref) / np.linalg.norm(ref))
+            errors.append(np.linalg.norm(out.samples - ref) / np.linalg.norm(ref))
         assert errors[1] < errors[0] / 10
 
     def test_grid_too_narrow(self):
@@ -168,10 +168,10 @@ class TestSpectralPropagate:
         cfg = cs_config()
         pulse = el.GaussianPulseSpec(amplitude=1.0, tau0=100.0 / cfg.gamma_char)
         grid = pulse.sample()
-        omega = -2 * np.pi * np.fft.fftfreq(len(grid), d=grid.spacing)
+        omega = -2 * np.pi * np.fft.fftfreq(grid.samples.size, d=grid.dt_grid)
         assert np.all(el.kappa_of_omega(cfg, omega).imag >= 0)
         out = el.spectral_propagate(cfg, grid, 1.0, kappa="full")
-        assert np.linalg.norm(out.values) <= np.linalg.norm(grid.values)
+        assert np.linalg.norm(out.samples) <= np.linalg.norm(grid.samples)
 
     def test_taylor_energy_identity_with_closed_form(self):
         # the two exact solutions of the truncated equation carry equal norms
@@ -180,15 +180,8 @@ class TestSpectralPropagate:
         grid = pulse.sample()
         out = el.spectral_propagate(cfg, grid, 1.0, kappa="taylor")
         ref = el.gaussian_closed_form(cfg, pulse, 1.0, out.times())
-        assert np.linalg.norm(out.values) == pytest.approx(
+        assert np.linalg.norm(out.samples) == pytest.approx(
             np.linalg.norm(ref), rel=1e-6)
-
-    def test_callable_kappa(self):
-        cfg = cs_config()
-        pulse = el.GaussianPulseSpec(amplitude=1.0, tau0=1e-6)
-        grid = pulse.sample(points=1024)
-        out = el.spectral_propagate(cfg, grid, 5.0, kappa=lambda w: np.zeros_like(w))
-        assert np.allclose(out.values, grid.values, atol=1e-12)
 
     def test_bad_kappa_mode(self):
         cfg = cs_config()

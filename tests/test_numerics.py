@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitlab.errors import BadLength, SingularMatrix, StepTooLarge
+from eitlab.errors import BadLength, NumericalError, SingularMatrix, StepTooLarge
 from eitlab.numerics import (
-    ComplexGrid,
+    Envelope,
     central_difference,
     fft,
     fourier_multiplier,
@@ -258,15 +258,36 @@ class TestPeaks:
             assert prominent_peaks(np.array(values), floor) == self.brute_force(values, floor)
 
 
-class TestComplexGrid:
+class TestEnvelope:
     def test_times(self):
-        grid = ComplexGrid(values=np.zeros(4), spacing=0.5, origin=-1.0)
-        assert np.allclose(grid.times(), [-1.0, -0.5, 0.0, 0.5])
+        env = Envelope(samples=np.zeros(4), dt_grid=0.5)
+        assert np.array_equal(env.times(), [-1.0, -0.5, 0.0, 0.5])
+        assert env.zeta == 0.0
 
-    def test_too_short(self):
+    def test_frequencies_follow_the_exp_minus_i_omega_t_convention(self):
+        # a sample of exp(-i w0 t) puts all its power in the bin of +w0
+        n, dt = 64, 0.25
+        env = Envelope(samples=np.zeros(n), dt_grid=dt)
+        w0 = 2 * np.pi * 5 / (n * dt)
+        k = int(np.argmax(np.abs(np.fft.fft(np.exp(-1j * w0 * env.times())))))
+        assert env.frequencies()[k] == pytest.approx(w0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_too_short(self, n):
         with pytest.raises(BadLength):
-            ComplexGrid(values=np.zeros(1), spacing=1.0)
+            Envelope(samples=np.zeros(n), dt_grid=1.0)
 
-    def test_bad_spacing(self):
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_bad_spacing(self, dt):
         with pytest.raises(ValueError):
-            ComplexGrid(values=np.zeros(4), spacing=0.0)
+            Envelope(samples=np.zeros(4), dt_grid=dt)
+
+    def test_non_finite_samples(self):
+        with pytest.raises(ValueError):
+            Envelope(samples=np.array([0.0, 1.0, np.inf, 0.0]), dt_grid=1.0)
+
+    def test_advanced_names_the_distance_of_a_non_finite_field(self):
+        env = Envelope(samples=np.ones(4), dt_grid=1.0, zeta=0.5)
+        assert env.advanced(np.full(4, 2.0 + 0j), 1.5).zeta == 2.0
+        with pytest.raises(NumericalError, match="zeta = 2 cm"):
+            env.advanced(np.array([1.0, np.nan, 1.0, 1.0]), 1.5)

@@ -178,6 +178,42 @@ class TestSteadyStateClosedForms:
             el.steady_state_lambda(asymmetric)
 
 
+    @pytest.mark.parametrize("form, controls", [
+        ("interference", [0.9, 0.7, 0.4, 0.8]),  # fig4a
+        ("interference", [(0.2, np.pi), 0.2, 0.1, 0.1]),  # fig4c
+        ("no_interference", [0.5, 0.5, 0.7, 0.7]),  # fig4b
+        ("lambda", [(0.2, np.pi), 0.2, 0.1, 0.1]),  # fig4c
+    ])
+    def test_closed_forms_are_unit_free(self, form, controls):
+        # rho_ba is dimensionless: the same config quoted in any unit of
+        # gamma gives the same value, the one coherence_point gives
+        closed = getattr(el, f"steady_state_{form}")
+        for unit in (1.0, 1e-3, 1e-6):
+            cfg = el.FieldConfig.in_gamma_units(unit, controls=controls, probe=0.01,
+                                                delta_p=0.3)
+            reference = el.coherence_point(cfg, cfg.delta_p).rho_ba
+            assert closed(cfg) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("unit", [1.0, 1e-3, 1e-6])
+    def test_zero_denominators_refuse_in_every_unit(self, unit):
+        def config(controls, delta_p=0.0, gamma_b=1.0, gamma_e=1.0):
+            return el.FieldConfig.in_gamma_units(unit, controls=controls, probe=0.01,
+                                                 delta_p=delta_p, gamma_b=gamma_b,
+                                                 gamma_e=gamma_e)
+        # beta = 0 at line centre: |b omega|^2 is the whole denominator
+        with pytest.raises(el.SingularDenominator):
+            el.steady_state_interference(config([0.5, 0.5, 0.7, 0.7]))
+        # no decay at line centre: every term of the cubic vanishes
+        with pytest.raises(el.SingularDenominator):
+            el.steady_state_no_interference(
+                config([0.5, 0.5, 0.7, 0.7], gamma_b=0.0, gamma_e=0.0))
+        # undamped lambda probed at delta_p = |beta|: |beta|^2 - delta_p^2 = 0
+        lam = config([(0.2, np.pi), 0.2, 0.1, 0.1], gamma_b=0.0)
+        beta = abs(el.derive_couplings(lam).beta)
+        with pytest.raises(el.SingularDenominator):
+            el.steady_state_lambda(lam.with_delta_p(beta))
+
+
 class TestBlochEvolve:
     def test_reference_point_matches_closed_form(self, fig4a):
         cfg = fig4a.with_delta_p(1.0)
