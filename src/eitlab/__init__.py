@@ -55,14 +55,12 @@ from .spectral import (
 )
 from .response import (
     CoherenceSolution,
-    FourierContext,
     Spectrum,
     absorption_spectrum,
     bloch_evolve,
     coherence_point,
     coherences_fourier,
     count_peaks,
-    fourier_context,
     solve_direct,
     steady_state_interference,
     steady_state_lambda,

@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, EitlabError, UnknownField
-from .params import FieldConfig, RabiField, Situation, derive_couplings, load_run_config, validate
-from .params import config_from_dict  # noqa: F401  (perfbench reads it from this module)
+from .params import (FieldConfig, Situation, config_from_dict, config_to_dict, derive_couplings,
+                     load_run_config, validate)
 from .response import DEFAULT_SPECTRUM_POINTS, absorption_spectrum, coherence_point, count_peaks
 from .dispersion import (
     DEFAULT_GRID_POINTS,
@@ -354,45 +354,40 @@ def cmd_propagate(args, cfg, pulse, propagation, out):
 # scan
 # ---------------------------------------------------------------------------
 
-_SCALAR_FIELDS = {
-    "detunings.p": "delta_p",
-    "detunings.two": "delta_2",
-    "detunings.three": "delta_3",
-    "decays.b": "gamma_b",
-    "decays.e": "gamma_e",
-    "eta": "eta",
-}
-
-
 def _apply_field(cfg: FieldConfig, field: str, value: float) -> FieldConfig:
-    """Override one scalar field of the config.
+    """Override one number of the config.
 
-    Supported: 'phi' (adjusts the first control phase so the closed-loop
-    phase equals the value), 'controls[i].amplitude' / 'controls[i].phase',
-    'probe.amplitude' / 'probe.phase', 'detunings.p/two/three',
-    'decays.b/e', and 'eta'.  Raises UnknownField for any other name and
-    ConfigError for a value outside the field's domain.
+    ``field`` is 'phi' (adjusts the first control phase so the closed-loop
+    phase equals the value) or the path of a number in ``config_to_dict``,
+    such as 'controls[2].amplitude', 'probe.phase', 'detunings.p' or 'eta';
+    the value is absolute (s^-1 for a rate).  The config is rebuilt by
+    ``config_from_dict``, which owns the schema and its domains.  Raises
+    UnknownField for any other name and ConfigError, naming the field, for a
+    value outside the field's domain.
     """
-    head, _, attr = field.rpartition(".")
-    index = head.removeprefix("controls[").removesuffix("]")
+    if field == "phi":
+        return _apply_field(cfg, "controls[0].phase",
+                            value + cfg.omega2.phase + cfg.omega3.phase - cfg.omega4.phase)
+    data = node = config_to_dict(cfg)
+    keys = []
+    for part in field.split("."):
+        name, bracket, index = part.partition("[")
+        keys.append(name)
+        if bracket:
+            index = index.removesuffix("]")
+            keys.append(int(index) if index.isdecimal() else None)
     try:
-        if field == "phi":
-            target = value + cfg.omega2.phase + cfg.omega3.phase - cfg.omega4.phase
-            return replace(cfg, omega1=RabiField(cfg.omega1.amplitude, target))
-        if field in _SCALAR_FIELDS:
-            return replace(cfg, **{_SCALAR_FIELDS[field]: value})
-        if head == "probe":
-            name = "omega_p"
-        elif head == f"controls[{index}]" and index.isdecimal() and int(index) < 4:
-            name = f"omega{int(index) + 1}"
-        else:
-            name = None
-        if name is None or attr not in ("amplitude", "phase"):
-            raise UnknownField(f"unknown sweep field {field!r}")
-        old: RabiField = getattr(cfg, name)
-        new = RabiField(value, old.phase) if attr == "amplitude" else RabiField(old.amplitude, value)
-        return replace(cfg, **{name: new})
-    except ValueError as exc:
+        for key in keys[:-1]:
+            node = node[key]
+        known = isinstance(node[keys[-1]], float)
+    except (KeyError, IndexError, TypeError):
+        known = False
+    if not known:
+        raise UnknownField(f"unknown sweep field {field!r}")
+    node[keys[-1]] = value
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
         raise ConfigError(f"sweep field {field} = {value!r} is out of its domain: {exc}") from exc
 
 

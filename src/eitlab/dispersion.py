@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import GridTooNarrow, SingularDenominator
-from .numerics import Envelope, centred_times, fft, ifft
+from .numerics import Envelope, centred_times
 from .params import FieldConfig
 from .response import _drift, _response_at, _response_scalars
 
@@ -204,5 +204,5 @@ def spectral_propagate(cfg: FieldConfig, envelope: Envelope, z: float,
         raise ValueError(f"kappa must be 'full' or 'taylor', got {kappa!r}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # advanced() reports an overflow
-        propagated = ifft(fft(envelope.samples) * np.exp(1j * phase * z))
+        propagated = np.fft.ifft(np.fft.fft(envelope.samples) * np.exp(1j * phase * z))
     return envelope.advanced(propagated, z)

@@ -30,11 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft
+from numpy.fft import ifft  # noqa: F401  (perfbench's tracer rebinds it in this module)
 
 from .errors import (GridMismatch, GridTooNarrow, NumericalError, SingularDenominator,
                      StepTooLarge, WrongSign)
-from .numerics import Envelope, centred_times, fft, fourier_multiplier
-from .numerics import ifft  # noqa: F401  (perfbench's tracer rebinds it in this module)
+from .numerics import Envelope, centred_times, fourier_multiplier
 from .params import FieldConfig
 from .response import _response_at
 from .dispersion import taylor_coefficients

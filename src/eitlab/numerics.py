@@ -2,15 +2,17 @@
 
 The sampled probe field (``Envelope``, the one type both propagators take
 and return, with its centred time grid and sideband frequencies), small
-dense complex linear solves, power-of-two FFT wrappers, a four-step
-Fourier multiplier, fixed-step RK4 for linear systems, Richardson-extrapolated
-central differences, a Hermitian eigendecomposition oracle, and a
-prominence-based peak finder.  All kernels are stateless but the multiplier,
-whose tables are built once and only read afterwards; callers own every
-buffer, so concurrent use is safe.
+dense complex linear solves, a four-step Fourier multiplier, fixed-step RK4
+for linear systems, Richardson-extrapolated central differences, a
+Hermitian eigendecomposition oracle, and a prominence-based peak finder.
+All kernels are stateless but the multiplier, whose tables are built once
+and only read afterwards; callers own every buffer, so concurrent use is
+safe.
 
-FFT normalization: unnormalized forward transform, 1/N inverse (the numpy
-convention).  All call sites assume it.
+``Envelope`` owns the power-of-two length the spectral steps need; its
+samples go straight to ``np.fft``, with no wrapper checking the length
+again.  FFT normalization: unnormalized forward transform, 1/N inverse (the
+numpy convention).  All call sites assume it.
 """
 
 from __future__ import annotations
@@ -77,20 +79,6 @@ class Envelope:
         if not np.all(np.isfinite(samples)):
             raise NumericalError(f"propagated field is not finite at zeta = {zeta:.6g} cm")
         return Envelope(samples=samples, dt_grid=self.dt_grid, zeta=zeta)
-
-
-def fft(values: np.ndarray) -> np.ndarray:
-    """Forward FFT (unnormalized) of a power-of-two complex array."""
-    values = np.asarray(values)
-    _require_power_of_two(values.size)
-    return np.fft.fft(values)
-
-
-def ifft(values: np.ndarray) -> np.ndarray:
-    """Inverse FFT (1/N normalization) of a power-of-two complex array."""
-    values = np.asarray(values)
-    _require_power_of_two(values.size)
-    return np.fft.ifft(values)
 
 
 def fourier_multiplier(factor: np.ndarray):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -294,15 +295,34 @@ def validate(cfg: FieldConfig) -> list[Diagnostic]:
 _CONFIG_KEYS = {"controls", "probe", "detunings", "decays", "eta", "gamma_unit", "c_light"}
 
 
+def _json_number(node) -> float:
+    """``node`` as a float when it is a real number: a bool or a string is not one.
+
+    The one rule for every number of a run file.  Raises TypeError otherwise
+    (OverflowError for an integer beyond the float range).
+    """
+    if isinstance(node, bool) or not isinstance(node, numbers.Real):
+        raise TypeError(f"expected a number, got {node!r}")
+    return float(node)
+
+
+def _json_integer(node) -> int:
+    """``node`` as an int when it is a JSON number of integral value."""
+    if not _json_number(node).is_integer():
+        raise ValueError(f"expected an integer, got {node!r}")
+    return int(node)
+
+
 def _field_from_json(node, where: str) -> RabiField:
     try:
         if isinstance(node, dict):
             extra = set(node) - {"amplitude", "phase"}
             if extra:
                 raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-            return RabiField(float(node["amplitude"]), float(node.get("phase", 0.0)))
-        return RabiField(float(node))
-    except (TypeError, ValueError, KeyError) as exc:
+            return RabiField(_json_number(node["amplitude"]),
+                             _json_number(node.get("phase", 0.0)))
+        return RabiField(_json_number(node))
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -312,7 +332,8 @@ def config_from_dict(data: dict) -> FieldConfig:
     Required keys: ``controls`` (list of 4 fields), ``probe``, ``detunings``
     ({p, two, three}), ``decays`` ({b, e}), ``eta``.  Optional:
     ``gamma_unit`` (scales all rates), ``c_light``.  A field is either a
-    number (amplitude) or an object {"amplitude": ..., "phase": ...}.
+    number (amplitude) or an object {"amplitude": ..., "phase": ...}.  Every
+    value is a JSON number; a bool or a numeric string raises ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
@@ -326,9 +347,16 @@ def config_from_dict(data: dict) -> FieldConfig:
     controls = data["controls"]
     if not isinstance(controls, list) or len(controls) != 4:
         raise ConfigError("'controls' must be a list of exactly 4 fields")
-    gamma = float(data.get("gamma_unit", 1.0))
-    if gamma <= 0:
-        raise ConfigError(f"gamma_unit must be > 0, got {gamma}")
+
+    def number(where: str, node) -> float:
+        try:
+            return _json_number(node)
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+    gamma = number("gamma_unit", data.get("gamma_unit", 1.0))
+    if not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma_unit must be a finite number > 0, got {gamma}")
 
     fields = [_field_from_json(c, f"controls[{i}]") for i, c in enumerate(controls)]
     probe = _field_from_json(data["probe"], "probe")
@@ -339,13 +367,13 @@ def config_from_dict(data: dict) -> FieldConfig:
             gamma,
             controls=fields,
             probe=probe,
-            delta_p=float(detunings["p"]),
-            delta_2=float(detunings["two"]),
-            delta_3=float(detunings["three"]),
-            gamma_b=float(decays["b"]),
-            gamma_e=float(decays["e"]),
-            eta=float(data["eta"]),
-            c_light=float(data.get("c_light", C_LIGHT)),
+            delta_p=number("detunings.p", detunings["p"]),
+            delta_2=number("detunings.two", detunings["two"]),
+            delta_3=number("detunings.three", detunings["three"]),
+            gamma_b=number("decays.b", decays["b"]),
+            gamma_e=number("decays.e", decays["e"]),
+            eta=number("eta", data["eta"]),
+            c_light=number("c_light", data.get("c_light", C_LIGHT)),
         )
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -366,21 +394,23 @@ def config_to_dict(cfg: FieldConfig) -> dict:
     }
 
 
-_POSITIVE = (float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_POSITIVE = (_json_number, lambda x: 0 < x < math.inf, "a finite number > 0")
 
 #: Run-file sections beside the physics schema (pulse and propagation setup
-#: for the command line).  Each known key maps to (convert, accept, rule).
+#: for the command line).  Each known key maps to (convert, accept, rule);
+#: numbers follow the physics keys' rule (``_json_number``).
 RUN_SECTIONS = {
     "pulse": {
         "tau": _POSITIVE,
         "tau0": _POSITIVE,
-        "amplitude": (float, math.isfinite, "a finite number"),
+        "amplitude": (_json_number, math.isfinite, "a finite number"),
         "kind": (str, ("auto", "bright", "dark").__contains__, "'auto', 'bright' or 'dark'"),
     },
     "propagation": {
         "length": _POSITIVE,
         "dz": _POSITIVE,
-        "grid_points": (int, lambda n: n >= 2 and n & (n - 1) == 0, "a power of two >= 2"),
+        "grid_points": (_json_integer, lambda n: n >= 2 and n & (n - 1) == 0,
+                        "a power of two >= 2"),
         "window_widths": _POSITIVE,
     },
 }

@@ -16,6 +16,12 @@ mask: the detuning grid, the sideband coherences, kappa(omega) and the Kerr
 coefficient all use it.  Only the Taylor layer feeds the builder
 polynomials in omega, to read their coefficients.
 
+There is one frequency axis.  The probe detuning enters the drift terms
+exactly as omega does, so the coherences at detuning delta_p are those of
+the config with delta_p = 0 at omega = delta_p.  ``absorption_spectrum`` and
+``coherence_point`` evaluate them that way, and get the same bits as
+``coherences_fourier`` of the detuned config at omega = 0.
+
 Two independent oracles guard the closed form: a direct partial-pivot solve
 of the 4x4 system, and fixed-step time integration of the underlying
 first-order equations to steady state.
@@ -47,28 +53,6 @@ BLOCH_SETTLE_TOL = 1e-10
 
 #: Probe-detuning points of a default absorption spectrum.
 DEFAULT_SPECTRUM_POINTS = 2001
-
-
-@dataclass(frozen=True)
-class FourierContext:
-    """Sideband-domain scalars of the linear response at one frequency.
-
-    t1, t2, t3 are the drift terms of the three coherence chains (s^-1);
-    s1..s4 are the numerators of the four coherences and q the common
-    denominator (powers of s^-1 as dimensional analysis dictates).  When
-    beta vanishes they are the numerators and cubic denominator g with t2
-    cancelled (see ``_response_scalars``).
-    """
-
-    omega: float
-    t1: complex
-    t2: complex
-    t3: complex
-    s1: complex
-    s2: complex
-    s3: complex
-    s4: complex
-    q: complex
 
 
 @dataclass(frozen=True)
@@ -108,16 +92,16 @@ class Spectrum:
         return self.coherences[:, 0].imag
 
 
-def _drift(cfg: FieldConfig, omega, delta_p=None):
+def _drift(cfg: FieldConfig, omega):
     """Drift terms t1, t2, t3 of the three coherence chains (s^-1).
 
-    ``omega`` and ``delta_p`` enter identically: numbers or ndarrays (a
-    frequency or detuning grid), or for the Taylor layer a Polynomial in omega.
+    ``omega`` is a number or an ndarray (a frequency grid), or for the Taylor
+    layer a Polynomial in omega.  It enters exactly as ``cfg.delta_p`` does,
+    so a probe-detuning grid is this frequency axis at ``delta_p = 0``.
     """
-    dp = cfg.delta_p if delta_p is None else delta_p
-    t1 = omega + 1j * cfg.gamma_b / 2.0 + dp
-    t2 = omega + dp - cfg.delta_2
-    t3 = omega + 1j * cfg.gamma_e / 2.0 + dp - cfg.delta_2 + cfg.delta_3
+    t1 = omega + 1j * cfg.gamma_b / 2.0 + cfg.delta_p
+    t2 = omega + cfg.delta_p - cfg.delta_2
+    t3 = omega + 1j * cfg.gamma_e / 2.0 + cfg.delta_p - cfg.delta_2 + cfg.delta_3
     return t1, t2, t3
 
 
@@ -160,14 +144,14 @@ def _response_scalars(cfg: FieldConfig, t1, t2, t3):
     return s1, s2, s3, s4, q
 
 
-def _response_at(cfg: FieldConfig, omega, delta_p=None):
+def _response_at(cfg: FieldConfig, omega):
     """Drift terms, (s1, s2, s3, s4, q) and the mask |q| <= floor at points.
 
-    The one pointwise path through the response; arguments as for ``_drift``.
+    The one pointwise path through the response; ``omega`` as for ``_drift``.
     The floor is the largest drift term or control amplitude to the degree
     of the denominator (3 for the reduced g, 4 for q), times SINGULAR_RTOL.
     """
-    t1, t2, t3 = drift = _drift(cfg, omega, delta_p)
+    t1, t2, t3 = drift = _drift(cfg, omega)
     scalars = _response_scalars(cfg, *drift)
     scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)),
                        np.maximum(np.abs(t3), cfg.control_scale))
@@ -175,26 +159,19 @@ def _response_at(cfg: FieldConfig, omega, delta_p=None):
     return drift, scalars, np.abs(scalars[4]) <= SINGULAR_RTOL * scale**degree
 
 
-def _coherence_grid(cfg: FieldConfig, omega, delta_p=None):
-    """Probe-scaled coherences (n, 4) over an array of ``omega`` or ``delta_p``.
+def _coherence_grid(cfg: FieldConfig, omega):
+    """Probe-scaled coherences (n, 4) over an array of ``omega``.
 
     Returns the block and the singular mask; rows whose denominator (q, or g
     when beta vanishes) is below its floor have no finite value and are NaN.
     """
-    _drift_terms, (s1, s2, s3, s4, q), singular = _response_at(cfg, omega, delta_p)
+    _drift_terms, (s1, s2, s3, s4, q), singular = _response_at(cfg, omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         block = np.stack(np.broadcast_arrays(-s1, s2, s3, s4), axis=-1)
         block *= cfg.omega_p.value
         block /= q[..., None]
     block[singular] = complex(np.nan, np.nan)
     return block, singular
-
-
-def fourier_context(cfg: FieldConfig, omega: float) -> FourierContext:
-    """Drift terms, numerators and denominator at ``omega``; reduced (g) at beta = 0."""
-    (t1, t2, t3), (s1, s2, s3, s4, q), _singular = _response_at(cfg, omega)
-    return FourierContext(omega=omega, t1=t1, t2=t2, t3=t3,
-                          s1=s1, s2=s2, s3=s3, s4=s4, q=q)
 
 
 def coherences_fourier(cfg: FieldConfig, omega: float) -> CoherenceSolution:
@@ -373,7 +350,7 @@ def coherence_point(cfg: FieldConfig, delta_p: float) -> CoherenceSolution | Non
 
     Returns None when no finite value exists (genuinely singular point).
     """
-    row = _coherence_grid(cfg, 0.0, np.array([float(delta_p)]))[0][0]
+    row = _coherence_grid(cfg.with_delta_p(0.0), np.array([float(delta_p)]))[0][0]
     return None if np.isnan(row).any() else CoherenceSolution(*row.tolist())
 
 
@@ -402,7 +379,7 @@ def absorption_spectrum(
         raise ValueError(f"empty grid [{grid_min}, {grid_max}]")
 
     dps = np.linspace(grid_min, grid_max, points)
-    return Spectrum(delta_p=dps, coherences=_coherence_grid(cfg, 0.0, dps)[0])
+    return Spectrum(delta_p=dps, coherences=_coherence_grid(cfg.with_delta_p(0.0), dps)[0])
 
 
 def count_peaks(spectrum: Spectrum) -> int:

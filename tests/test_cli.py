@@ -133,6 +133,23 @@ class TestSpectrumCommand:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["eigen", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma_unit", "x"),
+        ("gamma_unit", None),
+        ("eta", True),
+    ])
+    def test_non_number_physics_value_exits_2(self, tmp_path, capsys, key, value):
+        # a physics value must be a JSON number: no string, null or bool
+        data = json.loads(resources.files("eitlab").joinpath("presets", "fig4a.json")
+                          .read_text(encoding="utf-8"))
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["spectrum", "--config", str(path), "--grid-points", "11",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+
     def test_numerical_failure_exits_4(self, tmp_path, fig4b):
         # regime B on full resonance: q(0) = 0, but t2 cancels, so dispersion,
         # soliton and linear propagation give the finite limit, which matches
@@ -256,6 +273,9 @@ class TestPropagateCommand:
         ("ideal", "pulse", "kind", "sideways"),
         ("linear", "pulse", "tau0", -1),
         ("ideal", "pulse", "tau", "x"),
+        ("ideal", "pulse", "tau", "1e-7"),
+        ("ideal", "pulse", "tau", True),
+        ("ideal", "propagation", "grid_points", 1024.5),
         ("ideal", "propagation", "grid_points", "abc"),
         ("ideal", "propagation", "grid_points", 1000),
         ("ideal", "propagation", "window_widths", -5),
@@ -504,14 +524,23 @@ class TestScanCommand:
         assert "config error" in err and field in err
 
     def test_field_names_set_their_field(self, fig4a):
-        for i in range(4):
-            cfg = _apply_field(fig4a, f"controls[{i}].amplitude", 0.25)
-            assert cfg.controls[i] == el.RabiField(0.25, fig4a.controls[i].phase)
-            cfg = _apply_field(fig4a, f"controls[{i}].phase", 0.5)
-            assert cfg.controls[i] == el.RabiField(fig4a.controls[i].amplitude, 0.5)
-        assert _apply_field(fig4a, "probe.amplitude", 0.02).omega_p.amplitude == 0.02
-        assert _apply_field(fig4a, "probe.phase", 0.5).omega_p.phase == 0.5
-        assert _apply_field(fig4a, "detunings.two", 0.5).delta_2 == 0.5
+        # every number of the schema is a sweep field, and sets only itself
+        def numbers(node, path=""):
+            if isinstance(node, dict):
+                for key, child in node.items():
+                    yield from numbers(child, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                for i, child in enumerate(node):
+                    yield from numbers(child, f"{path}[{i}]")
+            else:
+                yield path, node
+
+        before = dict(numbers(el.config_to_dict(fig4a)))
+        assert {"c_light", "eta", "controls[3].phase", "probe.amplitude"} <= set(before)
+        for field, old in before.items():
+            value = abs(old) / 2.0 + 0.25
+            after = dict(numbers(el.config_to_dict(_apply_field(fig4a, field, value))))
+            assert after == {**before, field: value}, field
         assert _apply_field(fig4a, "phi", 0.5).phi == pytest.approx(0.5)
 
 

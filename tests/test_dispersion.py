@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 import eitlab as el
 from eitlab.dispersion import response_polynomials
 from eitlab.numerics import richardson_derivative
+from eitlab.response import _response_at
 from conftest import cs_config, oracle_taylor, random_nonsingular_config, undamped_pole_config
 
 
@@ -47,9 +48,9 @@ class TestKappa:
             cfg = random_nonsingular_config(rng)
             s1, q = response_polynomials(cfg)
             for w in rng.uniform(-3, 3, size=3):
-                ctx = el.fourier_context(cfg, float(w))
-                assert npoly.polyval(w, s1) == pytest.approx(ctx.s1, rel=1e-12, abs=1e-12)
-                assert npoly.polyval(w, q) == pytest.approx(ctx.q, rel=1e-12, abs=1e-12)
+                _drift, (s1_w, _s2, _s3, _s4, q_w), _singular = _response_at(cfg, float(w))
+                assert npoly.polyval(w, s1) == pytest.approx(s1_w, rel=1e-12, abs=1e-12)
+                assert npoly.polyval(w, q) == pytest.approx(q_w, rel=1e-12, abs=1e-12)
 
     def test_kappa_consistent_with_direct_solver(self):
         # kappa - omega/c must equal eta * rho_ba / probe from the 4x4 solve.

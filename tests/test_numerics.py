@@ -9,9 +9,7 @@ from eitlab.errors import BadLength, NumericalError, SingularMatrix, StepTooLarg
 from eitlab.numerics import (
     Envelope,
     central_difference,
-    fft,
     fourier_multiplier,
-    ifft,
     prominent_peaks,
     richardson_derivative,
     rk4_linear,
@@ -48,49 +46,6 @@ class TestSolve4:
         a[2] = 0.0
         with pytest.raises(SingularMatrix):
             solve4(a, np.ones(4))
-
-
-class TestFft:
-    def test_delta_impulse_flat_spectrum(self):
-        x = np.zeros(16, dtype=complex)
-        x[0] = 1.0
-        assert np.allclose(fft(x), np.ones(16))
-
-    def test_pure_tone_single_bin(self):
-        n, k = 64, 5
-        x = np.exp(2j * np.pi * k * np.arange(n) / n)
-        spectrum = np.abs(fft(x))
-        assert spectrum[k] == pytest.approx(n)
-        spectrum[k] = 0.0
-        assert np.max(spectrum) < 1e-9 * n
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        back = ifft(fft(x))
-        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        lhs = np.sum(np.abs(x) ** 2)
-        rhs = np.sum(np.abs(fft(x)) ** 2) / x.size
-        assert rhs == pytest.approx(lhs, rel=1e-12)
-
-    @given(st.integers(min_value=3, max_value=100).filter(lambda n: n & (n - 1)))
-    def test_non_power_of_two_rejected(self, n):
-        with pytest.raises(BadLength):
-            fft(np.zeros(n, dtype=complex))
-
-    @settings(max_examples=50)
-    @given(st.floats(-5, 5), st.floats(-5, 5))
-    def test_linearity(self, a, b):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        lhs = fft(a * x + b * y)
-        rhs = a * fft(x) + b * fft(y)
-        assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 class TestFourierMultiplier:

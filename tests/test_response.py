@@ -1,12 +1,14 @@
 """Linear response: closed forms vs direct-solve and time-domain oracles."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitlab as el
-from eitlab.response import bloch_generator, coherences_beta0_limit
+from eitlab.response import _response_at, bloch_generator, coherences_beta0_limit
 from conftest import random_config, random_nonsingular_config, undamped_pole_config
 
 #: Largest condition number at which the 4x4 oracle is trusted to 1e-10.
@@ -19,25 +21,27 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class TestFourierContext:
+    """The sideband-domain drift terms and scalars ``_response_at`` returns."""
+
     def test_drift_terms(self, fig4a):
         cfg = el.FieldConfig.in_gamma_units(
             1.0, controls=[0.9, 0.7, 0.4, 0.8], probe=0.01,
             delta_p=0.3, delta_2=0.5, delta_3=-0.2, gamma_b=1.2, gamma_e=0.8)
         omega = 0.7
-        ctx = el.fourier_context(cfg, omega)
-        assert ctx.t1 == pytest.approx(omega + 1.2j / 2 + 0.3)
-        assert ctx.t2 == pytest.approx(omega + 0.3 - 0.5)
-        assert ctx.t3 == pytest.approx(omega + 0.8j / 2 + 0.3 - 0.5 - 0.2)
+        (t1, t2, t3), _scalars, _singular = _response_at(cfg, omega)
+        assert t1 == pytest.approx(omega + 1.2j / 2 + 0.3)
+        assert t2 == pytest.approx(omega + 0.3 - 0.5)
+        assert t3 == pytest.approx(omega + 0.8j / 2 + 0.3 - 0.5 - 0.2)
 
     def test_full_resonance_kills_numerator(self):
         cfg = el.FieldConfig.in_gamma_units(1.0, controls=[0.9, 0.7, 0.4, 0.8], probe=0.01)
-        ctx = el.fourier_context(cfg, 0.0)
-        assert ctx.t2 == 0
-        assert ctx.s1 == 0
+        (_t1, t2, _t3), (s1, _s2, _s3, _s4, _q), _singular = _response_at(cfg, 0.0)
+        assert t2 == 0
+        assert s1 == 0
 
     def test_reference_point_is_regular(self, fig4a):
-        ctx = el.fourier_context(fig4a.with_delta_p(1.0), 0.0)
-        assert ctx.s1 != 0 and abs(ctx.q) > 0
+        _drift, (s1, _s2, _s3, _s4, q), _singular = _response_at(fig4a.with_delta_p(1.0), 0.0)
+        assert s1 != 0 and abs(q) > 0
 
     def test_phase_dependence_of_denominator(self):
         # the closed-loop cross term: q picks up -4 * product of amplitudes
@@ -47,8 +51,8 @@ class TestFourierContext:
             1.0, controls=list(amps), probe=0.01, delta_p=0.6)
         flipped = el.FieldConfig.in_gamma_units(
             1.0, controls=[(amps[0], np.pi)] + list(amps[1:]), probe=0.01, delta_p=0.6)
-        q0 = el.fourier_context(base, 0.0).q
-        qpi = el.fourier_context(flipped, 0.0).q
+        q0 = _response_at(base, 0.0)[1][4]
+        qpi = _response_at(flipped, 0.0)[1][4]
         expected = -4.0 * amps[0] * amps[1] * amps[2] * amps[3]
         assert (q0 - qpi) == pytest.approx(expected, rel=1e-12)
 
@@ -113,14 +117,14 @@ class TestSolveDirect:
             cfg = random_nonsingular_config(rng)
             omega = float(rng.uniform(-2, 2))
             sol = el.solve_direct(cfg, omega)
-            ctx = el.fourier_context(cfg, omega)
+            (t1, t2, t3), _scalars, _singular = _response_at(cfg, omega)
             o1, o2, o3, o4 = cfg.control_values
             f = sol.as_array()
             equations = np.array([
-                ctx.t1 * f[0] + o1 * f[1] + o2 * f[2] + cfg.omega_p.value,
-                ctx.t2 * f[1] + np.conj(o1) * f[0] + np.conj(o3) * f[3],
-                ctx.t2 * f[2] + np.conj(o2) * f[0] + np.conj(o4) * f[3],
-                ctx.t3 * f[3] + o3 * f[1] + o4 * f[2],
+                t1 * f[0] + o1 * f[1] + o2 * f[2] + cfg.omega_p.value,
+                t2 * f[1] + np.conj(o1) * f[0] + np.conj(o3) * f[3],
+                t2 * f[2] + np.conj(o2) * f[0] + np.conj(o4) * f[3],
+                t3 * f[3] + o3 * f[1] + o4 * f[2],
             ])
             scale = max(np.max(np.abs(f)) * cfg.rate_scale, abs(cfg.omega_p.value))
             assert np.max(np.abs(equations)) < 1e-12 * scale
@@ -274,6 +278,17 @@ class TestSpectrum:
             el.Spectrum(delta_p=np.array([0.0, 1.0]), coherences=np.zeros((2, 4)))
         with pytest.raises(ValueError):
             el.absorption_spectrum(fig4a, points=2)
+
+    def test_rows_are_sideband_values_at_each_detuning(self):
+        # one frequency axis: a detuning enters the drift terms as omega
+        # does, so each row is the omega = 0 value of the config detuned to
+        # that point, bit for bit; cs_soliton starts far from delta_p = 0
+        cfg = el.load_config(resources.files("eitlab").joinpath("presets", "cs_soliton.json"))
+        assert cfg.delta_p != 0
+        spec = el.absorption_spectrum(cfg)
+        for dp, row in zip(spec.delta_p, spec.coherences):
+            point = el.coherences_fourier(cfg.with_delta_p(float(dp)), 0.0).as_array()
+            assert np.array_equal(row, point), dp
 
     def test_singular_point_bridged_not_fatal(self, fig4b):
         # regime B hits q = 0 exactly at delta_p = 0; the spectrum must not
