@@ -42,8 +42,6 @@ from .params import (
 from .spectral import (
     BasisStates,
     EigenSystem4,
-    Hamiltonian4,
-    Hamiltonian5,
     build_h4,
     build_h5,
     dark_state,

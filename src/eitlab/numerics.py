@@ -3,11 +3,10 @@
 The sampled probe field (``Envelope``, the one type both propagators take
 and return, with its centred time grid and sideband frequencies), small
 dense complex linear solves, a four-step Fourier multiplier, fixed-step RK4
-for linear systems, Richardson-extrapolated central differences, a
-Hermitian eigendecomposition oracle, and a prominence-based peak finder.
-All kernels are stateless but the multiplier, whose tables are built once
-and only read afterwards; callers own every buffer, so concurrent use is
-safe.
+for linear systems, Richardson-extrapolated central differences, the
+eigenvector phase rule, and a prominence-based peak finder.  All kernels
+are stateless but the multiplier, whose tables are built once and only read
+afterwards; callers own every buffer, so concurrent use is safe.
 
 ``Envelope`` owns the power-of-two length the spectral steps need; its
 samples go straight to ``np.fft``, with no wrapper checking the length
@@ -224,18 +223,6 @@ def richardson_derivative(f, x0: float, h: float, order: int = 1):
     coarse = central_difference(f, x0, h, order)
     fine = central_difference(f, x0, h / 2.0, order)
     return (4.0 * fine - coarse) / 3.0
-
-
-def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense Hermitian eigendecomposition with deterministic conventions.
-
-    Eigenvalues ascending; each eigenvector normalized with its
-    largest-magnitude component made real positive.  Serves as the numeric
-    oracle for the closed-form eigensystems.  Backed by LAPACK through
-    numpy; residuals are at the 1e-14 * ||H|| level for 4x4 input.
-    """
-    eigenvalues, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
-    return eigenvalues, fix_eigenvector_phases(vectors)
 
 
 def fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:

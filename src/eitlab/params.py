@@ -217,7 +217,6 @@ class DerivedCoupling:
     alpha: complex
     beta: complex
     omega_total: float
-    phi: float
     situation: Situation
 
 
@@ -244,8 +243,7 @@ def derive_couplings(cfg: FieldConfig) -> DerivedCoupling:
         situation = Situation.C
     else:
         situation = Situation.DEGENERATE
-    return DerivedCoupling(alpha=alpha, beta=beta, omega_total=omega,
-                           phi=cfg.phi, situation=situation)
+    return DerivedCoupling(alpha=alpha, beta=beta, omega_total=omega, situation=situation)
 
 
 @dataclass(frozen=True)
@@ -313,12 +311,16 @@ def _json_integer(node) -> int:
     return int(node)
 
 
+def _refuse_unknown_keys(node: dict, where: str, known: set[str]) -> None:
+    extra = set(node) - known
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+
+
 def _field_from_json(node, where: str) -> RabiField:
     try:
         if isinstance(node, dict):
-            extra = set(node) - {"amplitude", "phase"}
-            if extra:
-                raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+            _refuse_unknown_keys(node, where, {"amplitude", "phase"})
             return RabiField(_json_number(node["amplitude"]),
                              _json_number(node.get("phase", 0.0)))
         return RabiField(_json_number(node))
@@ -333,7 +335,8 @@ def config_from_dict(data: dict) -> FieldConfig:
     ({p, two, three}), ``decays`` ({b, e}), ``eta``.  Optional:
     ``gamma_unit`` (scales all rates), ``c_light``.  A field is either a
     number (amplitude) or an object {"amplitude": ..., "phase": ...}.  Every
-    value is a JSON number; a bool or a numeric string raises ConfigError.
+    value is a JSON number; a bool or a numeric string raises ConfigError,
+    and so does an unknown key at any level.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
@@ -360,9 +363,13 @@ def config_from_dict(data: dict) -> FieldConfig:
 
     fields = [_field_from_json(c, f"controls[{i}]") for i, c in enumerate(controls)]
     probe = _field_from_json(data["probe"], "probe")
+    detunings, decays = data["detunings"], data["decays"]
+    for where, node, known in (("detunings", detunings, {"p", "two", "three"}),
+                               ("decays", decays, {"b", "e"})):
+        if not isinstance(node, dict):
+            raise ConfigError(f"'{where}' must be an object, got {type(node).__name__}")
+        _refuse_unknown_keys(node, where, known)
     try:
-        detunings = data["detunings"]
-        decays = data["decays"]
         return FieldConfig.in_gamma_units(
             gamma,
             controls=fields,
@@ -395,14 +402,17 @@ def config_to_dict(cfg: FieldConfig) -> dict:
 
 
 _POSITIVE = (_json_number, lambda x: 0 < x < math.inf, "a finite number > 0")
+# A pulse width enters the grids and the soliton squared: that must not underflow.
+_WIDTH = (_json_number, lambda x: 0 < x < math.inf and x**2 > 0,
+          "a finite number > 0 whose square is > 0")
 
 #: Run-file sections beside the physics schema (pulse and propagation setup
 #: for the command line).  Each known key maps to (convert, accept, rule);
 #: numbers follow the physics keys' rule (``_json_number``).
 RUN_SECTIONS = {
     "pulse": {
-        "tau": _POSITIVE,
-        "tau0": _POSITIVE,
+        "tau": _WIDTH,
+        "tau0": _WIDTH,
         "amplitude": (_json_number, math.isfinite, "a finite number"),
         "kind": (str, ("auto", "bright", "dark").__contains__, "'auto', 'bright' or 'dark'"),
     },

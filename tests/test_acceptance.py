@@ -133,26 +133,26 @@ def test_criterion_4_eigensystem_block():
         if couplings.situation is not el.Situation.A:
             continue
         count_a += 1
-        h = el.build_h4(cfg).matrix
+        h = el.build_h4(cfg)
         closed = el.eigensystem_a(cfg)
         numeric = np.linalg.eigvalsh(h)
         scale = max(float(np.max(np.abs(numeric))), 1e-30)
         worst_eig_a = max(worst_eig_a,
                           float(np.max(np.abs(closed.eigenvalues - numeric))) / scale)
 
-        rebuilt = el.reconstruct_h4(couplings, el.transformed_basis(cfg)).matrix
+        rebuilt = el.reconstruct_h4(couplings, el.transformed_basis(cfg))
         worst_rebuild = max(worst_rebuild,
                             float(np.max(np.abs(rebuilt - h))) / float(np.max(np.abs(h))))
 
         dark = el.dark_state(cfg)
-        h5 = el.build_h5(cfg).matrix
+        h5 = el.build_h5(cfg)
         worst_dark = max(worst_dark,
                          float(np.linalg.norm(h5 @ dark))
                          / (np.linalg.norm(h5) * np.linalg.norm(dark)))
 
     for _ in range(1000):
         cfg = random_config(rng, situation="B")
-        h = el.build_h4(cfg).matrix
+        h = el.build_h4(cfg)
         closed = el.eigensystem_b(cfg)
         numeric = np.linalg.eigvalsh(h)
         scale = max(float(np.max(np.abs(numeric))), 1e-30)

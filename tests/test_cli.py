@@ -150,6 +150,25 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section, value, names", [
+        ("detunings", {"p": 0.0, "two": 0.0, "three": 0.0, "tree": 5.0}, ["'tree'"]),
+        ("decays", {"b": 1.0, "e": 1.0, "gamma": 5.0}, ["'gamma'"]),
+        ("decays", {"b": 1.0, "e": 1.0, "gamma": 5.0, "c": 1.0}, ["'c'", "'gamma'"]),
+        ("detunings", [0.0, 0.0, 0.0], ["'detunings' must be an object"]),
+    ])
+    def test_bad_physics_section_exits_2(self, tmp_path, capsys, section, value, names):
+        # detunings and decays refuse unknown keys, like every other object
+        data = json.loads(resources.files("eitlab").joinpath("presets", "fig4a.json")
+                          .read_text(encoding="utf-8"))
+        data[section] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["spectrum", "--config", str(path), "--grid-points", "11",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and section in err
+        assert all(name in err for name in names)
+
     def test_numerical_failure_exits_4(self, tmp_path, fig4b):
         # regime B on full resonance: q(0) = 0, but t2 cancels, so dispersion,
         # soliton and linear propagation give the finite limit, which matches
@@ -185,12 +204,16 @@ class TestEigenCommand:
         vec0 = np.array([re + 1j * im for re, im in payload["eigenvectors"][0]])
         assert np.linalg.norm(vec0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_numeric_fallback_for_regime_c(self, tmp_path):
+    def test_numeric_fallback_for_regime_c(self, tmp_path, fig4c):
         out = tmp_path / "e"
         assert main(["eigen", "--config", "fig4c", "--out", str(out)]) == 0
         payload = json.loads((out / "eigen.json").read_text())
         assert payload["situation"] == "C"
         assert payload["method"] == "numeric"
+        system = el.numeric_eigensystem(el.build_h4(fig4c))
+        assert payload["eigenvalues"] == system.eigenvalues.tolist()
+        assert payload["eigenvectors"] == [[[z.real, z.imag] for z in col]
+                                           for col in system.eigenvectors.T.tolist()]
 
 
 class TestDispersionSolitonCommands:
@@ -295,6 +318,23 @@ class TestPropagateCommand:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{section}.{key}" in err
+
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["soliton"], "tau", 1e-170),
+        (["propagate", "--mode", "ideal"], "tau", 1e-170),
+        (["propagate", "--mode", "linear"], "tau0", 5e-324),
+    ])
+    def test_pulse_width_whose_square_underflows_exits_2(self, tmp_path, capsys,
+                                                          argv, key, value):
+        data = json.loads(resources.files("eitlab").joinpath("presets", "cs_soliton.json")
+                          .read_text(encoding="utf-8"))
+        data["pulse"][key] = value
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"pulse.{key}" in err
 
 
 def soliton_config(tmp_path, **propagation):

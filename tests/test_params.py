@@ -54,7 +54,7 @@ class TestDeriveCouplings:
         assert abs(c.beta) == pytest.approx(0.44 / math.sqrt(0.8), rel=1e-12)
         assert abs(c.alpha) == pytest.approx(0.92 / math.sqrt(0.8), rel=1e-12)
         assert c.situation is el.Situation.A
-        assert c.phi == 0.0
+        assert fig4a.phi == 0.0
 
     def test_balanced_products_kill_beta(self, fig4b):
         c = el.derive_couplings(fig4b)

@@ -16,11 +16,11 @@ def residual(h: np.ndarray, lam: float, v: np.ndarray) -> float:
 class TestBuildH4:
     def test_all_controls_zero(self):
         cfg = el.FieldConfig.in_gamma_units(1.0, controls=[0, 0, 0, 0], probe=0.0)
-        assert np.all(el.build_h4(cfg).matrix == 0)
+        assert np.all(el.build_h4(cfg) == 0)
 
     def test_single_control_places_single_coupling(self):
         cfg = el.FieldConfig.in_gamma_units(1.0, controls=[1.0, 0, 0, 0], probe=0.0)
-        m = el.build_h4(cfg).matrix
+        m = el.build_h4(cfg)
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 0] = expected[0, 1] = -1.0  # (c,b) and (b,c)
         assert np.array_equal(m, expected)
@@ -28,7 +28,7 @@ class TestBuildH4:
     def test_hermitian_zero_diagonal_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            m = el.build_h4(random_config(rng)).matrix
+            m = el.build_h4(random_config(rng))
             assert np.allclose(m, m.conj().T, atol=1e-14)
             assert np.all(m.diagonal() == 0)
 
@@ -36,16 +36,16 @@ class TestBuildH4:
 class TestBuildH5:
     def test_zero_probe_isolates_ground(self, fig4a):
         cfg = el.FieldConfig.in_gamma_units(1.0, controls=[0.9, 0.7, 0.4, 0.8], probe=0.0)
-        m = el.build_h5(cfg).matrix
+        m = el.build_h5(cfg)
         assert np.all(m[0, :] == 0) and np.all(m[:, 0] == 0)
 
     def test_lower_block_is_h4(self, fig4a):
-        assert np.array_equal(el.build_h5(fig4a).matrix[1:, 1:], el.build_h4(fig4a).matrix)
+        assert np.array_equal(el.build_h5(fig4a)[1:, 1:], el.build_h4(fig4a))
 
     def test_hermitian_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            m = el.build_h5(random_config(rng, probe=0.3)).matrix
+            m = el.build_h5(random_config(rng, probe=0.3))
             assert np.allclose(m, m.conj().T, atol=1e-14)
 
 
@@ -85,30 +85,55 @@ class TestTransformedBasis:
 class TestReconstruct:
     def test_reference_set_exact(self, fig4a):
         rebuilt = el.reconstruct_h4(el.derive_couplings(fig4a), el.transformed_basis(fig4a))
-        direct = el.build_h4(fig4a).matrix
+        direct = el.build_h4(fig4a)
         scale = np.max(np.abs(direct))
-        assert np.max(np.abs(rebuilt.matrix - direct)) < 1e-12 * scale
+        assert np.max(np.abs(rebuilt - direct)) < 1e-12 * scale
 
     def test_regime_b_beta_term_vanishes(self, fig4b):
         couplings = el.derive_couplings(fig4b)
         assert couplings.beta == 0.0
         rebuilt = el.reconstruct_h4(couplings, el.transformed_basis(fig4b))
-        direct = el.build_h4(fig4b).matrix
-        assert np.max(np.abs(rebuilt.matrix - direct)) < 1e-12 * np.max(np.abs(direct))
+        direct = el.build_h4(fig4b)
+        assert np.max(np.abs(rebuilt - direct)) < 1e-12 * np.max(np.abs(direct))
 
     def test_regime_c_alpha_term_vanishes(self, fig4c):
         couplings = el.derive_couplings(fig4c)
         rebuilt = el.reconstruct_h4(couplings, el.transformed_basis(fig4c))
-        direct = el.build_h4(fig4c).matrix
-        assert np.max(np.abs(rebuilt.matrix - direct)) < 1e-12 * np.max(np.abs(direct))
+        direct = el.build_h4(fig4c)
+        assert np.max(np.abs(rebuilt - direct)) < 1e-12 * np.max(np.abs(direct))
 
     def test_random_property(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             cfg = random_config(rng)
             rebuilt = el.reconstruct_h4(el.derive_couplings(cfg), el.transformed_basis(cfg))
-            direct = el.build_h4(cfg).matrix
-            assert np.max(np.abs(rebuilt.matrix - direct)) < 1e-12 * np.max(np.abs(direct))
+            direct = el.build_h4(cfg)
+            assert np.max(np.abs(rebuilt - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def assert_oracle_conventions(system: el.EigenSystem4) -> None:
+    """Ascending eigenvalues, unit columns, largest component real and > 0."""
+    assert np.all(np.diff(system.eigenvalues) >= 0)
+    for col in system.eigenvectors.T:
+        assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-14)
+        pivot = col[np.argmax(np.abs(col))]
+        assert pivot.real > 0
+        assert abs(pivot.imag) <= 1e-15 * abs(pivot)
+
+
+class TestNumericEigensystem:
+    def test_conventions_on_fig4c(self, fig4c):
+        assert_oracle_conventions(el.numeric_eigensystem(el.build_h4(fig4c)))
+
+    @pytest.mark.parametrize("situation", ["A", "B", "C"])
+    def test_conventions_random(self, situation):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            h = el.build_h4(random_config(rng, situation=situation))
+            system = el.numeric_eigensystem(h)
+            assert_oracle_conventions(system)
+            for j, lam in enumerate(system.eigenvalues):
+                assert residual(h, lam, system.eigenvectors[:, j]) < 1e-13
 
 
 class TestEigensystemA:
@@ -119,7 +144,7 @@ class TestEigensystemA:
         assert np.allclose(closed.eigenvalues, numeric.eigenvalues, atol=1e-10 * scale)
 
     def test_eigenpair_residuals(self, fig4a):
-        h = el.build_h4(fig4a).matrix
+        h = el.build_h4(fig4a)
         system = el.eigensystem_a(fig4a)
         for j, lam in enumerate(system.eigenvalues):
             assert residual(h, lam, system.eigenvectors[:, j]) < 1e-10
@@ -135,7 +160,7 @@ class TestEigensystemA:
             if el.derive_couplings(cfg).situation is not el.Situation.A:
                 continue
             closed = el.eigensystem_a(cfg)
-            h = el.build_h4(cfg).matrix
+            h = el.build_h4(cfg)
             numeric = np.linalg.eigvalsh(h)
             assert np.allclose(closed.eigenvalues, numeric,
                                atol=1e-10 * max(np.max(np.abs(numeric)), 1e-30))
@@ -179,7 +204,7 @@ class TestEigensystemB:
         for _ in range(100):
             cfg = random_config(rng, situation="B")
             closed = el.eigensystem_b(cfg)
-            h = el.build_h4(cfg).matrix
+            h = el.build_h4(cfg)
             numeric = np.linalg.eigvalsh(h)
             assert np.allclose(closed.eigenvalues, numeric,
                                atol=1e-10 * max(np.max(np.abs(numeric)), 1e-30))
@@ -196,7 +221,7 @@ class TestDarkState:
 
     def test_reference_residual(self, fig4a):
         vec = el.dark_state(fig4a)
-        h5 = el.build_h5(fig4a).matrix
+        h5 = el.build_h5(fig4a)
         assert np.linalg.norm(h5 @ vec) < 1e-12 * np.linalg.norm(h5) * np.linalg.norm(vec)
 
     def test_no_overlap_with_bright_directions(self, fig4a):
@@ -221,7 +246,7 @@ class TestDarkState:
 
             def normalized_residual(c):
                 v = el.dark_state(c)
-                h5 = el.build_h5(c).matrix
+                h5 = el.build_h5(c)
                 return np.linalg.norm(h5 @ v) / (np.linalg.norm(h5) * np.linalg.norm(v))
 
             theta = rng.uniform(0, 2 * np.pi)
@@ -240,5 +265,5 @@ class TestDarkState:
                 if el.derive_couplings(cfg).situation not in (el.Situation.A, el.Situation.C):
                     continue
                 vec = el.dark_state(cfg)
-                h5 = el.build_h5(cfg).matrix
+                h5 = el.build_h5(cfg)
                 assert np.linalg.norm(h5 @ vec) < 1e-12 * np.linalg.norm(h5) * np.linalg.norm(vec)
