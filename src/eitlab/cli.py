@@ -13,6 +13,11 @@ manifest last (so it marks a complete run), and maps each ``EitlabError`` to
 its ``exit_code``.  A subcommand ``cmd_x(args, cfg, pulse, propagation, out)``
 only writes its own files and returns their names with its manifest entries.
 
+The ``spectrum`` and ``propagate`` CSVs are streamed in binary mode, a
+block of rows at a time; their cells are exactly the bytes of
+``'%.17g' % x``, made by the array code of ``csvtext``, which leaves to
+Python's formatter only the cells it cannot certify.
+
 Exit codes: 0 success, 2 usage/config error, 3 physics-domain error,
 4 numerical failure.
 """
@@ -32,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, EitlabError, UnknownField
+from .csvtext import CellText, csv_text
+from .errors import ConfigError, DomainError, EitlabError, NumericalError, UnknownField
 from .params import (FieldConfig, Situation, config_from_dict, config_to_dict, derive_couplings,
                      load_run_config, validate)
 from .response import DEFAULT_SPECTRUM_POINTS, absorption_spectrum, coherence_point, count_peaks
@@ -59,26 +65,28 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-#: Rows per block of every CSV the CLI writes.  Each file is formatted and
-#: written one block at a time, so one block bounds the text held in memory
-#: and the Python floats of one %-formatting pass: a few hundred kB, whatever
-#: the grid size or the number of checkpoints.
-_CSV_BLOCK_ROWS = 1024
+#: Cells per block of the spectrum and propagate CSVs (rows = cells //
+#: columns).  Each file is formatted and written one block at a time, so one
+#: block bounds the formatter's buffers and the text held in memory: about
+#: half a megabyte, whatever the grid size or the number of checkpoints.
+_CSV_BLOCK_CELLS = 2048
 
 
 def _csv_blocks(*columns: np.ndarray):
-    """Yield the CSV rows of a column table, a block of rows at a time.
+    """Yield the CSV bytes of a column table, a block of rows at a time.
 
     Each argument is one column or a 2-D block of columns.  Every row ends
-    in a newline.  Cells are formatted with %.17g, which keeps every value
-    round-trip exact and formats as ``_fmt`` does.  Each block is stacked
-    from slices of the columns, so the whole table is never built.
+    in a newline.  Each cell is exactly the bytes of ``'%.17g' % x``, which
+    keep every value round-trip exact; ``csvtext.CellText`` makes them with
+    array code, and one instance's buffers serve every block.  Each block is
+    stacked from slices of the columns, so the whole table is never built.
     """
     rows = len(columns[0])
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-        line = "%.17g," * (block.shape[1] - 1) + "%.17g\n"
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+    width = sum(math.prod(c.shape[1:]) for c in columns)
+    step = max(1, _CSV_BLOCK_CELLS // width)
+    text = CellText(min(step, rows), width)
+    for start in range(0, rows, step):
+        yield text(np.column_stack([c[start:start + step] for c in columns]))
 
 
 def _pair(z: complex) -> list[float]:
@@ -132,9 +140,9 @@ def cmd_spectrum(args, cfg, pulse, propagation, out):
     except ValueError as exc:
         raise ConfigError(f"bad spectrum grid: {exc}") from exc
     points = spectrum.delta_p.size
-    header = ("delta_p,re_rho_ba,im_rho_ba,re_rho_ca,im_rho_ca,"
-              "re_rho_da,im_rho_da,re_rho_ea,im_rho_ea\n")
-    with (out / "spectrum.csv").open("w", encoding="utf-8") as fh:
+    header = (b"delta_p,re_rho_ba,im_rho_ba,re_rho_ca,im_rho_ca,"
+              b"re_rho_da,im_rho_da,re_rho_ea,im_rho_ea\n")
+    with (out / "spectrum.csv").open("wb") as fh:
         fh.write(header)
         # viewed as float, each complex column becomes its (re, im) pair
         fh.writelines(_csv_blocks(spectrum.delta_p, spectrum.coherences.view(float)))
@@ -250,26 +258,28 @@ def _write_propagation(out: Path, header: str, frames) -> list[str]:
 
     ``frames`` yields (zeta, columns) per checkpoint, the columns of the
     snapshot table under ``header``.  Each block of rows goes to the snapshot
-    as soon as it is formatted, and to the waterfall prefixed with its zeta,
-    so the cells are formatted once.  No file is opened before the first
-    frame is computed: a run that fails there leaves ``out`` untouched.
+    as soon as ``_csv_blocks`` has made its bytes, and to the waterfall
+    prefixed with its zeta (formatted by the same kernel), so the cells are
+    formatted once.  Both are written in binary mode.  No file is opened
+    before the first frame is computed: a run that fails there leaves ``out``
+    untouched.
     """
     outputs = []
+    header = header.encode() + b"\n"
     with ExitStack() as files:
         for i, (z, columns) in enumerate(frames, start=1):
             if i == 1:
-                waterfall = files.enter_context(
-                    (out / "waterfall.csv").open("w", encoding="utf-8"))
-                waterfall.write("zeta," + header + "\n")
+                waterfall = files.enter_context((out / "waterfall.csv").open("wb"))
+                waterfall.write(b"zeta," + header)
             name = _snapshot_name(i)
-            prefix = "%.17g," % z
-            with (out / name).open("w", encoding="utf-8") as snapshot:
-                snapshot.write(header + "\n")
+            prefix = csv_text(np.array([[z]]))[:-1] + b","
+            with (out / name).open("wb") as snapshot:
+                snapshot.write(header)
                 for rows in _csv_blocks(*columns):
                     snapshot.write(rows)
                     # every newline but the last starts the next row
-                    waterfall.write(prefix + rows.replace("\n", "\n" + prefix,
-                                                          rows.count("\n") - 1))
+                    waterfall.write(prefix + rows.replace(b"\n", b"\n" + prefix,
+                                                          rows.count(b"\n") - 1))
             outputs.append(name)
     outputs.append("waterfall.csv")
     return outputs
@@ -318,8 +328,15 @@ def _propagate_nonlinear(cfg, pulse: dict, propagation: dict, checkpoints,
 
     length = checkpoints[-1]
     l_disp = tau**2 / abs(coeffs.kappa2_r) if coeffs.kappa2_r else math.inf
-    l_nl = 1.0 / (abs(coeffs.theta_r) * soliton.spec.amplitude**2) if coeffs.theta_r else math.inf
+    try:
+        l_nl = (1.0 / (abs(coeffs.theta_r) * soliton.spec.amplitude**2)
+                if coeffs.theta_r else math.inf)
+    except OverflowError:  # the amplitude squared overflows: no float is that short
+        l_nl = 0.0
     dz = propagation.get("dz", min(min(l_disp, l_nl) / 200.0, length / 8.0))
+    if not 0.0 < dz < math.inf:
+        raise NumericalError(f"no split-step length resolves this pulse: dz = {dz!r} cm "
+                             f"(dispersion length {l_disp!r} cm, nonlinear length {l_nl!r} cm)")
     spans = [z - previous for previous, z in zip([0.0] + checkpoints[:-1], checkpoints)]
     steps = [max(1, int(math.ceil(span / dz))) for span in spans]
     facts = {"dz": dz, "steps": steps}

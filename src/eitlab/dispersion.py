@@ -107,10 +107,15 @@ def kappa_of_omega(cfg: FieldConfig, omega):
     evaluator in factored form, with the spectrum grid's singular floor.
     """
     w = np.asarray(omega, dtype=float)
-    _drift_terms, (s1, _s2, _s3, _s4, q), singular = _response_at(cfg, w)
+    # frequencies far beyond the medium's scales overflow the polynomials:
+    # they count as singular too
+    with np.errstate(over="ignore", invalid="ignore"):
+        _drift_terms, (s1, _s2, _s3, _s4, q), singular = _response_at(cfg, w)
+    singular = singular | ~np.isfinite(q)
     if np.any(singular):
-        bad = w[singular] if w.ndim else w
-        raise SingularDenominator(f"response denominator vanishes near omega = {bad}")
+        bad = w[singular] if w.ndim else w.reshape(1)
+        raise SingularDenominator(f"response denominator vanishes near omega = {bad[0]:.9g} "
+                                  f"({bad.size} of {w.size} frequencies)")
     out = w / cfg.c_light - cfg.eta * s1 / q
     return out if w.ndim else complex(out)
 

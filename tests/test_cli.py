@@ -356,6 +356,41 @@ def small_soliton_run(tmp_path, mode: str, checkpoints: str, points: int = 1024)
     return path, data, out
 
 
+def short_pulse_config(tmp_path, **pulse):
+    """Write cs_soliton with its ``pulse`` block updated; return the path."""
+    data = json.loads(resources.files("eitlab").joinpath("presets", "cs_soliton.json")
+                      .read_text(encoding="utf-8"))
+    data["pulse"].update(pulse)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestShortPulses:
+    @pytest.mark.parametrize("tau", [1e-160, 1.6e-162])
+    def test_overflowing_soliton_amplitude_exits_4(self, tmp_path, capsys, tau):
+        # the amplitude squared overflows (tau**2 itself is > 0), so the
+        # nonlinear length and the step bound dz are 0: refused, no traceback
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(short_pulse_config(tmp_path, tau=tau)),
+                     "--mode", "ideal", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("eitlab: numerical failure: no split-step length resolves")
+        assert "dz = 0.0 cm" in err and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_linear_singular_frequencies_are_named_in_one_line(self, tmp_path, capsys):
+        # the FFT frequencies of a 1e-160 s pulse overflow the response
+        # polynomials: one line names the first singular one and the count
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(short_pulse_config(tmp_path, tau0=1e-160)),
+                     "--mode", "linear", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("eitlab: numerical failure: response denominator vanishes near "
+                       "omega = -7.85398163e+158 (16383 of 16384 frequencies)\n")
+        assert list(out.iterdir()) == []
+
+
 class TestPropagateWriters:
     @pytest.mark.parametrize("mode", ["ideal", "full"])
     def test_snapshot_round_trips_to_split_step(self, tmp_path, mode):
